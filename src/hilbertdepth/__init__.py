@@ -18,17 +18,17 @@ from .depth import (BetaTable, HdepthReport, alpha_from_beta, beta_table,
 from .errors import CapacityError, DomainError, ParseError
 from .ideals import (AlphaVector, Ideal, Monomial, alpha_of_ideal,
                      alpha_of_quotient, alpha_vector, parse_ideal)
-from .theorems import (CheckOutcome, check_main, evaluate_profile,
+from .theorems import (CHECKS, CheckOutcome, evaluate_profile,
                        reproduce_bound_tables, run_checks)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaVector", "BetaTable", "CapacityError", "CheckOutcome", "DomainError",
+    "AlphaVector", "BetaTable", "CHECKS", "CapacityError", "CheckOutcome", "DomainError",
     "EnumerationPlan", "HdepthReport", "Ideal", "MacaulayRep", "Monomial",
     "ParseError", "SearchReport", "VerifySummary", "alpha_census",
     "alpha_from_beta", "alpha_of_ideal", "alpha_of_quotient", "alpha_vector",
-    "beta_table", "binom", "binom_diff", "check_main",
+    "beta_table", "binom", "binom_diff",
     "compressed_complex_ideal", "enumerate_ideals", "evaluate_profile",
     "hdepth", "hdepth_report", "kk_lower_bound", "kk_upper_bound",
     "macaulay_rep", "parse_ideal", "random_ideal", "reproduce_bound_tables",

@@ -30,7 +30,7 @@ from dataclasses import asdict
 
 from .corpus import (EnumerationPlan, SearchReport, VerifySummary,
                      enumerate_ideals, random_ideal, run_verification,
-                     sample_rng, search_counterexample)
+                     sample_rng, search_n_range)
 from .depth import HdepthReport, hdepth_report
 from .errors import CapacityError, DomainError, ParseError
 from .ideals import parse_ideal
@@ -58,12 +58,28 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(a, b + 1))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _n_values(args) -> list[int]:
     if args.n_range is not None:
         return args.n_range
     if args.n is not None:
         return [args.n]
     raise ValueError("one of -n or --n-range is required")
+
+
+def _corpus_mode(args, default: str) -> str:
+    """"random" or "exhaustive" from the flags; a random corpus needs a seed
+    and a sample count."""
+    mode = "random" if args.random else "exhaustive" if args.exhaustive else default
+    if mode == "random" and (args.seed is None or not args.samples):
+        raise ValueError("a random corpus needs --seed and --samples")
+    return mode
 
 
 def _emit(text: str, out_path: str | None):
@@ -129,16 +145,22 @@ def _report_text(report: HdepthReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_header(nmax: int) -> list[str]:
+    return (["n", "ideal"] + [f"alpha_{j}" for j in range(nmax + 1)]
+            + ["hdepth_quotient", "hdepth_ideal", "principal", "in_m2"])
+
+
+def _csv_row(report: HdepthReport, nmax: int) -> list:
+    """One ideal's row under _csv_header(nmax); alpha cells past n are blank."""
+    return ([report.n, str(report.ideal)] + list(report.alpha_quotient)
+            + [""] * (nmax - report.n)
+            + [report.hdepth_quotient, report.hdepth_ideal,
+               int(report.principal), int(report.in_m2)])
+
+
 def _report_csv(report: HdepthReport) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    n = report.n
-    header = (["n", "ideal"] + [f"alpha_{j}" for j in range(n + 1)]
-              + ["hdepth_quotient", "hdepth_ideal", "principal", "in_m2"])
-    writer.writerow(header)
-    writer.writerow([n, str(report.ideal)] + list(report.alpha_quotient)
-                    + [report.hdepth_quotient, report.hdepth_ideal,
-                       int(report.principal), int(report.in_m2)])
+    csv.writer(buf).writerows([_csv_header(report.n), _csv_row(report, report.n)])
     return buf.getvalue()
 
 
@@ -208,26 +230,17 @@ def _verify_csv(n_values, mode, samples, seed, out_path):
     buf = io.StringIO()
     writer = csv.writer(buf)
     nmax = max(n_values)
-    header = (["n", "ideal"] + [f"alpha_{j}" for j in range(nmax + 1)]
-              + ["hdepth_quotient", "hdepth_ideal", "principal", "in_m2"]
-              + list(VERIFY_CHECKS))
-    writer.writerow(header)
+    writer.writerow(_csv_header(nmax) + list(VERIFY_CHECKS))
     failures = 0
     for n in n_values:
-        if mode == "exhaustive":
-            ideals = enumerate_ideals(n)
-        else:
-            ideals = (random_ideal(n, sample_rng(seed, n, i)) for i in range(samples))
+        ideals = (enumerate_ideals(n) if mode == "exhaustive" else
+                  (random_ideal(n, sample_rng(seed, n, i)) for i in range(samples)))
         for ideal in ideals:
             report = hdepth_report(ideal)
             outcomes = run_checks(report)
             failures += sum(1 for o in outcomes if o.applicable and not o.passed)
-            alpha = list(report.alpha_quotient) + [""] * (nmax - n)
-            writer.writerow(
-                [n, str(ideal)] + alpha
-                + [report.hdepth_quotient, report.hdepth_ideal,
-                   int(report.principal), int(report.in_m2)]
-                + ["" if not o.applicable else int(o.passed) for o in outcomes])
+            writer.writerow(_csv_row(report, nmax)
+                            + ["" if not o.applicable else int(o.passed) for o in outcomes])
     _emit(buf.getvalue(), out_path)
     return 1 if failures else 0
 
@@ -248,21 +261,14 @@ def cmd_verify(args) -> int:
         return 0 if not diffs else 1
 
     n_values = _n_values(args)
-    mode = "random" if args.random else "exhaustive"
-    if mode == "random":
-        if args.seed is None:
-            raise ValueError("--random needs --seed")
-        if not args.samples:
-            raise ValueError("--random needs --samples")
+    mode = _corpus_mode(args, "exhaustive")
 
     if args.format == "csv":
         return _verify_csv(n_values, mode, args.samples, args.seed, args.out)
 
-    summaries = []
-    for n in n_values:
-        plan = EnumerationPlan(n=n, mode=mode, sample_count=args.samples or 0,
-                               seed=args.seed, workers=args.workers)
-        summaries.append(run_verification(plan))
+    summaries = [run_verification(EnumerationPlan(
+        n=n, mode=mode, sample_count=args.samples or 0, seed=args.seed, workers=args.workers))
+        for n in n_values]
     total_failures = sum(s.total_failures for s in summaries)
 
     if args.format == "json":
@@ -297,49 +303,9 @@ def _search_json(report: SearchReport, deterministic: bool) -> dict:
 
 def cmd_search(args) -> int:
     n_values = _n_values(args)
-    mode = "random" if args.random or not args.exhaustive else "exhaustive"
-    if args.samples and not args.exhaustive:
-        mode = "random"
-    if mode == "random":
-        if args.seed is None:
-            raise ValueError("--random search needs --seed")
-        if not args.samples:
-            raise ValueError("--random search needs --samples")
-
-    per_n = []
-    witnesses: list[dict] = []
-    scanned = 0
-    remaining = args.max_witnesses
-    share, extra = divmod(args.samples or 0, len(n_values))
-    for i, n in enumerate(n_values):
-        if mode == "random":
-            count = share + (1 if i < extra else 0)
-            if count == 0:
-                continue
-            plan = EnumerationPlan(n=n, mode="random", sample_count=count,
-                                   seed=args.seed, workers=args.workers)
-        else:
-            plan = EnumerationPlan(n=n, mode="exhaustive", workers=args.workers)
-        report = search_counterexample(plan, args.predicate, max_witnesses=remaining)
-        per_n.append(report)
-        scanned += report.instances_scanned
-        for w in report.witnesses:
-            w = dict(w)
-            w["n"] = n
-            witnesses.append(w)
-        remaining -= len(report.witnesses)
-        if remaining <= 0:
-            break
-
-    if witnesses:
-        status = "witnesses-found"
-    elif mode == "exhaustive":
-        status = "none-exhaustive"
-    else:
-        status = "inconclusive"
-    combined = SearchReport(args.predicate, tuple(n_values), mode, scanned,
-                            witnesses, sum(r.elapsed for r in per_n),
-                            args.seed, status)
+    mode = _corpus_mode(args, "random")
+    combined, per_n = search_n_range(args.predicate, n_values, mode, args.samples or 0,
+                                     args.seed, args.workers, args.max_witnesses)
 
     if args.format == "json":
         config = {"predicate": args.predicate, "n_values": n_values, "mode": mode,
@@ -350,8 +316,9 @@ def cmd_search(args) -> int:
         _emit(_json_payload("search", config, results, args.deterministic), args.out)
     else:
         lines = [f"search predicate={combined.predicate} mode={mode} "
-                 f"n={list(combined.n_values)} scanned={scanned} status={combined.status}"]
-        for w in witnesses:
+                 f"n={list(combined.n_values)} scanned={combined.instances_scanned} "
+                 f"status={combined.status}"]
+        for w in combined.witnesses:
             lines.append(f"  WITNESS n={w['n']} ideal=({w['ideal']}) {w['violated']}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -375,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
         if with_corpus:
             p.add_argument("--n-range", type=_parse_n_range, default=None,
                            metavar="A..B", help="inclusive range of n values")
-            p.add_argument("--exhaustive", action="store_true")
-            p.add_argument("--random", action="store_true")
+            corpus = p.add_mutually_exclusive_group()
+            corpus.add_argument("--exhaustive", action="store_true")
+            corpus.add_argument("--random", action="store_true")
             p.add_argument("--samples", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--workers", type=int, default=1)
@@ -399,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--predicate", required=True,
                           help="main | principal-equivalence | bound-equivalence | "
                                "q6-bounds | lemma79 | beta47-bound")
-    p_search.add_argument("--max-witnesses", type=int, default=1)
+    p_search.add_argument("--max-witnesses", type=_positive_int, default=1)
     p_search.set_defaults(func=cmd_search)
     return parser
 

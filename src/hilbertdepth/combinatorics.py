@@ -58,6 +58,11 @@ def binom_row(n: int) -> tuple[int, ...]:
     return tuple(_PASCAL[n])
 
 
+def complement_counts(n: int, counts) -> tuple[int, ...]:
+    """Apply a_j -> C(n,j) - a_j (swaps the roles of I and S/I)."""
+    return tuple(c - a for c, a in zip(binom_row(n), counts))
+
+
 @dataclass(frozen=True)
 class MacaulayRep:
     """A k-binomial representation: terms (top_i, i) with i descending from k.

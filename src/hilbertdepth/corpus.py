@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import islice
 
-from .combinatorics import N_MAX, binom_row
+from .combinatorics import N_MAX, complement_counts
 from .errors import CapacityError
-from .ideals import Ideal, Monomial, alpha_counts_of_ideal, minimalize
+from .ideals import (Ideal, Monomial, alpha_counts_of_ideal, alpha_of_quotient,
+                     minimalize)
 from .theorems import (CHECK_ORDER, VERIFY_CHECKS, evaluate_profile,
                        witness_from_ideal)
 
@@ -220,16 +222,9 @@ def _gens_from_levels(lv: _Levels, leaf: tuple[int, ...]) -> list[int]:
     """Minimal non-faces of the downset: generator masks, sorted by (degree, mask)."""
     gens = []
     for d in range(1, lv.n + 1):
-        chosen = leaf[d - 1]
-        if d == 1:
-            for i, m in enumerate(lv.masks[1]):
-                if not chosen >> i & 1:
-                    gens.append(m)
-            continue
-        prev = leaf[d - 2]
-        for i, m in enumerate(lv.masks[d]):
-            if not chosen >> i & 1 and lv.facet_bits[d][i] & ~prev == 0:
-                gens.append(m)
+        chosen, prev = leaf[d - 1], leaf[d - 2] if d > 1 else 0
+        gens += [m for i, m in enumerate(lv.masks[d])
+                 if not chosen >> i & 1 and lv.facet_bits[d][i] & ~prev == 0]
     return gens
 
 
@@ -306,30 +301,15 @@ def alpha_census(n: int, part: tuple[int, int] | None = None) -> Counter:
     return Counter(counts)
 
 
-def find_ideal_with_alpha(n: int, alpha: tuple[int, ...]) -> Ideal | None:
-    """First enumerated ideal whose quotient alpha vector matches (small n)."""
-    lv = _levels(n)
-    target = tuple(alpha[1:])
-    for leaf in enumerate_downsets(n):
-        if tuple(b.bit_count() for b in leaf) == target:
-            return Ideal(n, tuple(Monomial(m) for m in _gens_from_levels(lv, leaf)))
-    return None
-
-
 # --- compressed complexes -------------------------------------------------------
 
 def colex_first_masks(n: int, k: int, count: int) -> list[int]:
-    """The first ``count`` k-subsets of {1..n} in colexicographic order."""
-    subsets = sorted(tuple(sorted(c, reverse=True)) for c in combinations(range(n), k))
-    if count > len(subsets):
-        raise ValueError(f"only C({n},{k})={len(subsets)} subsets exist, wanted {count}")
-    out = []
-    for c in subsets[:count]:
-        mask = 0
-        for v in c:
-            mask |= 1 << v
-        out.append(mask)
-    return out
+    """The first ``count`` k-subsets of {1..n} in colexicographic order, which
+    is the ascending order of their bit masks."""
+    masks = [m for m in range(1 << n) if m.bit_count() == k]
+    if count > len(masks):
+        raise ValueError(f"only C({n},{k})={len(masks)} subsets exist, wanted {count}")
+    return masks[:count]
 
 
 def compressed_complex_ideal(n: int, alpha: tuple[int, ...]) -> Ideal:
@@ -340,22 +320,18 @@ def compressed_complex_ideal(n: int, alpha: tuple[int, ...]) -> Ideal:
     if len(alpha) != n + 1 or alpha[0] != 1:
         raise ValueError("alpha must be (1, a_1, ..., a_n)")
     lv = _levels(n) if n <= EXHAUSTIVE_N_MAX else _Levels(n)
-    leaf = []
-    for d in range(1, n + 1):
-        chosen_masks = set(colex_first_masks(n, d, alpha[d]))
-        bits = 0
-        for i, m in enumerate(lv.masks[d]):
-            if m in chosen_masks:
-                bits |= 1 << i
-        leaf.append(bits)
-    # downward-closedness: every face's facets must be faces
-    for d in range(2, n + 1):
-        prev = leaf[d - 2]
-        bits = leaf[d - 1]
-        for i in range(len(lv.masks[d])):
-            if bits >> i & 1 and lv.facet_bits[d][i] & ~prev:
-                raise ValueError(f"alpha not realizable: colex family at level {d} is not closed")
-    return Ideal(n, tuple(Monomial(m) for m in _gens_from_levels(lv, tuple(leaf))))
+    # each level lists its masks in ascending, i.e. colex, order
+    leaf = tuple((1 << a) - 1 for a in alpha[1:])
+    ideal = Ideal(n, tuple(Monomial(m) for m in _gens_from_levels(lv, leaf)))
+    # the quotient keeps exactly the chosen faces iff the families are closed
+    if tuple(alpha_of_quotient(ideal)) != tuple(alpha):
+        raise ValueError("alpha not realizable: its colex families are not a complex")
+    return ideal
+
+
+def find_ideal_with_alpha(n: int, alpha: tuple[int, ...]) -> Ideal:
+    """An ideal whose quotient alpha vector is ``alpha``: its compressed complex."""
+    return compressed_complex_ideal(n, alpha)
 
 
 # --- random generation ----------------------------------------------------------
@@ -422,9 +398,7 @@ class EnumerationPlan:
     mode: str  # "exhaustive" | "random"
     sample_count: int = 0
     seed: int | None = None
-    degree_bias: dict[int, float] | None = None
     workers: int = 1
-    partition: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
@@ -484,41 +458,50 @@ class SearchReport:
 # --- harness ---------------------------------------------------------------------
 
 _WITNESS_CAP_PER_TASK = 25
+_SAMPLE_TASK_SIZE = 2000
 
 
-def _census_task(args) -> dict:
-    n, num_parts, idx = args
-    return dict(alpha_census(n, (num_parts, idx)))
+def _census_task(args):
+    """One slice of the alpha census, in the shape of a _sample_task result."""
+    n, part = args
+    census = alpha_census(n, part)
+    return {(alpha, None): c for alpha, c in census.items()}, [], sum(census.values())
+
+
+def _sample_tasks(plan: EnumerationPlan, names) -> list[tuple]:
+    """The plan's sample indices, split into tasks of _SAMPLE_TASK_SIZE."""
+    return [(plan.n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count),
+             tuple(names))
+            for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE)]
+
+
+def _failing(outcome, names) -> tuple[str, ...]:
+    """The named checks that apply to a ProfileOutcome and fail on it."""
+    return tuple(name for name in names
+                 if outcome.flags[CHECK_ORDER.index(name)] == (True, False))
 
 
 def _sample_task(args):
-    """Scan sample indices [lo, hi): returns (profile counts, witnesses, gate_excluded).
+    """Scan sample indices [lo, hi): returns (profile counts, witnesses, scanned).
 
     Keys are (alpha(S/I), principal); witnesses are produced by a fresh full
     evaluation of the failing sample's ideal.
     """
-    n, seed, lo, hi, bias, names = args
+    n, seed, lo, hi, names = args
     counts: dict[tuple, int] = {}
     memo: dict[tuple, tuple] = {}
     witnesses: list[dict] = []
-    name_pos = {name: CHECK_ORDER.index(name) for name in names}
     for i in range(lo, hi):
-        masks = random_gen_masks(n, sample_rng(seed, n, i), bias)
-        if not masks or masks[0] == 0:
-            continue  # unreachable: degrees >= 1 and no unit generator
-        alpha_sf = tuple(b - a for b, a in zip(binom_row(n), alpha_counts_of_ideal(n, masks)))
-        principal = len(masks) == 1
-        key = (alpha_sf, principal)
-        cached = memo.get(key)
-        if cached is None:
-            outcome = evaluate_profile(n, alpha_sf, principal)
-            failing = tuple(name for name, pos in name_pos.items()
-                            if outcome.flags[pos][0] and not outcome.flags[pos][1])
-            cached = memo[key] = failing
+        masks = random_gen_masks(n, sample_rng(seed, n, i))
+        alpha_sf = complement_counts(n, alpha_counts_of_ideal(n, masks))
+        key = (alpha_sf, len(masks) == 1)
+        failing = memo.get(key)
+        if failing is None:
+            failing = memo[key] = _failing(evaluate_profile(n, *key), names)
         counts[key] = counts.get(key, 0) + 1
-        if cached and len(witnesses) < _WITNESS_CAP_PER_TASK:
+        if failing and len(witnesses) < _WITNESS_CAP_PER_TASK:
             ideal = Ideal(n, tuple(Monomial(m) for m in masks))
-            for name in cached:
+            for name in failing:
                 w = witness_from_ideal(ideal, name)
                 if w is not None:
                     w["sample_index"] = i
@@ -526,13 +509,25 @@ def _sample_task(args):
     return counts, witnesses, hi - lo
 
 
-def _pool_map(workers: int, fn, tasks):
-    if workers <= 1:
-        for t in tasks:
-            yield fn(t)
+def _pool_map(workers: int, fn, tasks: list):
+    """Yield fn(task) for every task, in task order.
+
+    With more than one worker and task, at most workers + 2 tasks are in
+    flight; closing the generator early cancels the tasks not yet started.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks)
+        todo = iter(tasks)
+        pending = deque(pool.submit(fn, t) for t in islice(todo, workers + 2))
+        try:
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(fn, t) for t in islice(todo, 1))
+                yield result
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _tally_profiles(n, profile_counts, names):
@@ -541,16 +536,15 @@ def _tally_profiles(n, profile_counts, names):
     q_hist: dict[int, int] = {}
     gate_excluded = 0
     failing_keys: list[tuple] = []
-    positions = [(name, CHECK_ORDER.index(name)) for name in names]
     for key, count in profile_counts.items():
-        alpha_sf, principal = key
-        outcome = evaluate_profile(n, alpha_sf, principal)
+        outcome = evaluate_profile(n, *key)
         q_hist[outcome.q] = q_hist.get(outcome.q, 0) + count
         if outcome.principal or not outcome.in_m2:
             gate_excluded += count
-        bad = False
-        for name, pos in positions:
-            applicable, passed = outcome.flags[pos]
+        if _failing(outcome, names):
+            failing_keys.append(key)
+        for name in names:
+            applicable, passed = outcome.flags[CHECK_ORDER.index(name)]
             if not applicable:
                 continue
             t = tallies[name]
@@ -559,9 +553,6 @@ def _tally_profiles(n, profile_counts, names):
                 t.passed += count
             else:
                 t.failed += count
-                bad = True
-        if bad:
-            failing_keys.append(key)
     return tallies, q_hist, gate_excluded, failing_keys
 
 
@@ -575,48 +566,26 @@ def run_verification(plan: EnumerationPlan, check_names=VERIFY_CHECKS) -> Verify
         if name not in CHECK_ORDER:
             raise ValueError(f"unknown check {name!r}")
     start = time.monotonic()
-    witnesses: list[dict] = []
-
     if plan.mode == "exhaustive":
-        if plan.partition is not None:
-            census = alpha_census(plan.n, plan.partition)
-        elif plan.workers > 1:
-            num_parts = 8 * plan.workers
-            merged: Counter = Counter()
-            tasks = [(plan.n, num_parts, i) for i in range(num_parts)]
-            for part in _pool_map(plan.workers, _census_task, tasks):
-                merged.update(part)
-            census = merged
-        else:
-            census = alpha_census(plan.n)
-        profile_counts = {(alpha, None): c for alpha, c in census.items()}
-        scanned = sum(census.values())
-        tallies, q_hist, gate_excluded, failing = _tally_profiles(
-            plan.n, profile_counts, check_names)
+        num_parts = 8 * plan.workers if plan.workers > 1 else 1
+        task_fn, tasks = _census_task, [(plan.n, (num_parts, i)) for i in range(num_parts)]
+    else:
+        task_fn, tasks = _sample_task, _sample_tasks(plan, check_names)
+    profile_counts: dict[tuple, int] = {}
+    witnesses: list[dict] = []
+    scanned = 0
+    for counts, task_witnesses, task_scanned in _pool_map(plan.workers, task_fn, tasks):
+        for key, c in counts.items():
+            profile_counts[key] = profile_counts.get(key, 0) + c
+        witnesses.extend(task_witnesses)
+        scanned += task_scanned
+    witnesses.sort(key=lambda w: w.get("sample_index", 0))
+    tallies, q_hist, gate_excluded, failing = _tally_profiles(
+        plan.n, profile_counts, check_names)
+    if plan.mode == "exhaustive":
         for alpha, _ in failing:
             ideal = find_ideal_with_alpha(plan.n, alpha)
-            if ideal is not None:
-                for name in check_names:
-                    w = witness_from_ideal(ideal, name)
-                    if w is not None:
-                        witnesses.append(w)
-    else:
-        chunk = 2000
-        tasks = [(plan.n, plan.seed, lo, min(lo + chunk, plan.sample_count),
-                  plan.degree_bias, tuple(check_names))
-                 for lo in range(0, plan.sample_count, chunk)]
-        merged_counts: dict[tuple, int] = {}
-        scanned = 0
-        for counts, task_witnesses, task_scanned in _pool_map(
-                plan.workers, _sample_task, tasks):
-            for key, c in counts.items():
-                merged_counts[key] = merged_counts.get(key, 0) + c
-            witnesses.extend(task_witnesses)
-            scanned += task_scanned
-        tallies, q_hist, gate_excluded, _ = _tally_profiles(
-            plan.n, merged_counts, check_names)
-        witnesses.sort(key=lambda w: w.get("sample_index", 0))
-        profile_counts = merged_counts
+            witnesses += filter(None, (witness_from_ideal(ideal, name) for name in check_names))
 
     return VerifySummary(
         n=plan.n,
@@ -638,9 +607,9 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
                           max_witnesses: int = 1) -> SearchReport:
     """Scan one corpus for failures of one named check.
 
-    Random mode stops as soon as a chunk of samples has produced
-    ``max_witnesses`` verified witnesses (the scanned count stays
-    deterministic: whole chunks only).  Every witness re-verifies through a
+    Random mode stops as soon as a task of samples has brought the count of
+    verified witnesses to ``max_witnesses`` (the scanned count stays
+    deterministic: whole tasks only).  Every witness re-verifies through a
     fresh full evaluation before being reported.
     """
     if predicate not in CHECK_ORDER:
@@ -654,40 +623,50 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
                             summary.witnesses[:max_witnesses],
                             time.monotonic() - start, plan.seed, status)
 
-    chunk = 2000
-    tasks = [(plan.n, plan.seed, lo, min(lo + chunk, plan.sample_count),
-              plan.degree_bias, (predicate,))
-             for lo in range(0, plan.sample_count, chunk)]
     witnesses: list[dict] = []
     scanned = 0
-    if plan.workers <= 1:
-        for task in tasks:
-            _, task_witnesses, task_scanned = _sample_task(task)
+    with closing(_pool_map(plan.workers, _sample_task,
+                           _sample_tasks(plan, (predicate,)))) as results:
+        for _, task_witnesses, task_scanned in results:
             scanned += task_scanned
             witnesses.extend(task_witnesses)
             if len(witnesses) >= max_witnesses:
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            window = plan.workers + 2
-            futures = [pool.submit(_sample_task, t) for t in tasks[:window]]
-            next_task = window
-            done = False
-            for fut_idx in range(len(tasks)):
-                if fut_idx >= len(futures):
-                    break
-                _, task_witnesses, task_scanned = futures[fut_idx].result()
-                scanned += task_scanned
-                witnesses.extend(task_witnesses)
-                if len(witnesses) >= max_witnesses:
-                    done = True
-                if not done and next_task < len(tasks):
-                    futures.append(pool.submit(_sample_task, tasks[next_task]))
-                    next_task += 1
-                if done:
-                    break
-    witnesses.sort(key=lambda w: w.get("sample_index", 0))
-    witnesses = witnesses[:max_witnesses]
+    witnesses = sorted(witnesses, key=lambda w: w.get("sample_index", 0))[:max_witnesses]
     status = "witnesses-found" if witnesses else "inconclusive"
     return SearchReport(predicate, (plan.n,), plan.mode, scanned, witnesses,
                         time.monotonic() - start, plan.seed, status)
+
+
+def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
+                   seed: int | None, workers: int,
+                   max_witnesses: int) -> tuple[SearchReport, list[SearchReport]]:
+    """Search each n in turn: the combined report and the per-n reports.
+
+    Random mode splits ``sample_count`` evenly over the n values (the first
+    ones take the remainder; an n whose share is 0 is skipped).  The search
+    stops at the first n that brings the witness count to ``max_witnesses``.
+    """
+    per_n: list[SearchReport] = []
+    witnesses: list[dict] = []
+    share, extra = divmod(sample_count, len(n_values))
+    for i, n in enumerate(n_values):
+        if mode == "random":
+            count = share + (1 if i < extra else 0)
+            if count == 0:
+                continue
+            plan = EnumerationPlan(n=n, mode=mode, sample_count=count, seed=seed,
+                                   workers=workers)
+        else:
+            plan = EnumerationPlan(n=n, mode=mode, workers=workers)
+        report = search_counterexample(plan, predicate, max_witnesses - len(witnesses))
+        per_n.append(report)
+        witnesses.extend(report.witnesses)
+        if len(witnesses) >= max_witnesses:
+            break
+    status = ("witnesses-found" if witnesses else
+              "none-exhaustive" if mode == "exhaustive" else "inconclusive")
+    combined = SearchReport(predicate, tuple(n_values), mode,
+                            sum(r.instances_scanned for r in per_n), witnesses,
+                            sum(r.elapsed for r in per_n), seed, status)
+    return combined, per_n

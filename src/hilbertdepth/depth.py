@@ -6,7 +6,9 @@ beta table at q is
     b_k = sum_{j=0}^{k} (-1)^(k-j) * C(q-j, k-j) * a_j,   k = 0..q,
 
 and the Hilbert depth is the largest d such that every entry of the beta
-table at d is nonnegative.  The transform inverts exactly:
+table at d is nonnegative.  ``beta_rows`` builds each level from the one
+below: b^d_k = b^(d-1)_k - b^(d-1)_(k-1) for 0 < k < d.  The transform
+inverts exactly:
 
     a_k = sum_{j=0}^{k} C(q-j, k-j) * b_j,   k = 0..q.
 
@@ -17,8 +19,9 @@ for a proper nonzero ideal, materializing full beta triangles for debugging.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .combinatorics import _PASCAL, binom_row
+from .combinatorics import _PASCAL
 from .errors import DomainError
 from .ideals import AlphaVector, Ideal, alpha_of_ideal, alpha_of_quotient
 
@@ -43,19 +46,24 @@ def _counts(alpha) -> tuple[int, ...]:
     return tuple(alpha)
 
 
+def beta_rows(counts):
+    """Yield the beta rows b^0, b^1, ..., b^n of the alpha counts, exactly."""
+    a0 = counts[0]
+    row = (a0,)
+    alternating = a0
+    yield row
+    for a in counts[1:]:
+        alternating = a - alternating
+        row = (a0, *[b - prev for prev, b in zip(row, row[1:])], alternating)
+        yield row
+
+
 def beta_values(counts, q: int) -> tuple[int, ...]:
     """(b_0, ..., b_q) for the given alpha counts, exact."""
     n = len(counts) - 1
     if not 0 <= q <= n:
         raise ValueError(f"beta level q={q} outside [0, {n}]")
-    out = []
-    for k in range(q + 1):
-        b = 0
-        for j in range(k + 1):
-            term = _PASCAL[q - j][k - j] * counts[j]
-            b += term if (k - j) % 2 == 0 else -term
-        out.append(b)
-    return tuple(out)
+    return next(islice(beta_rows(counts), q, None))
 
 
 def beta_table(alpha, q: int) -> BetaTable:
@@ -65,8 +73,7 @@ def beta_table(alpha, q: int) -> BetaTable:
 
 def beta_triangle(alpha) -> tuple[BetaTable, ...]:
     """Beta tables for every level d = 0..n."""
-    counts = _counts(alpha)
-    return tuple(BetaTable(d, beta_values(counts, d)) for d in range(len(counts)))
+    return tuple(BetaTable(d, row) for d, row in enumerate(beta_rows(_counts(alpha))))
 
 
 def alpha_from_beta(table: BetaTable) -> tuple[int, ...]:
@@ -81,27 +88,20 @@ def alpha_from_beta(table: BetaTable) -> tuple[int, ...]:
 def hdepth(alpha) -> int:
     """The largest d in [0, n] whose beta table is entrywise nonnegative.
 
-    Scans d from n downward and returns the first admissible level (d = 0 is
-    always admissible, since b_0 = a_0 >= 0).  Raises DomainError on the
-    all-zero alpha vector: the zero module has no depth.
+    Walks the levels upward and stops at the first one with a negative entry:
+    b^(d-1) is the running sum of b^d, so every level below an admissible one
+    is admissible too.  Raises DomainError on the all-zero alpha vector: the
+    zero module has no depth.
     """
     counts = _counts(alpha)
     if not any(counts):
         raise DomainError("hdepth is undefined for the zero module (all-zero alpha)")
-    n = len(counts) - 1
-    for d in range(n, -1, -1):
-        admissible = True
-        for k in range(d + 1):
-            b = 0
-            for j in range(k + 1):
-                term = _PASCAL[d - j][k - j] * counts[j]
-                b += term if (k - j) % 2 == 0 else -term
-            if b < 0:
-                admissible = False
-                break
-        if admissible:
-            return d
-    raise AssertionError("unreachable: d = 0 is always admissible")
+    d = -1
+    for row in beta_rows(counts):
+        if min(row) < 0:
+            break
+        d += 1
+    return d
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,3 @@ def hdepth_report(I: Ideal) -> HdepthReport:
         principal=I.is_principal,
         in_m2=I.in_m2,
     )
-
-
-def complement_counts(n: int, counts) -> tuple[int, ...]:
-    """Apply a_j -> C(n,j) - a_j (swaps the roles of I and S/I)."""
-    row = binom_row(n)
-    return tuple(row[j] - counts[j] for j in range(n + 1))

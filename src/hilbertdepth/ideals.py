@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import N_MAX, binom_row
+from .combinatorics import N_MAX, binom_row, complement_counts
 from .errors import CapacityError, DomainError, ParseError
 
 ALPHA_N_MAX = 25
@@ -283,9 +283,7 @@ def alpha_vector(J: Ideal, I: Ideal | None = None) -> AlphaVector:
         raise CapacityError(
             f"alpha enumeration walks 2^n subsets; n={n} exceeds cap {ALPHA_N_MAX}")
     if J.is_unit:
-        row = binom_row(n)
-        inner = alpha_counts_of_ideal(n, I.gen_masks)
-        return AlphaVector(n, tuple(row[j] - inner[j] for j in range(n + 1)))
+        return AlphaVector(n, complement_counts(n, alpha_counts_of_ideal(n, I.gen_masks)))
     members = ideal_member_bits(n, J.gen_masks) & ~ideal_member_bits(n, I.gen_masks)
     return AlphaVector(n, level_counts(n, members))
 

@@ -1,8 +1,8 @@
 """Executable checkers for the Hilbert-depth comparison results.
 
-Each checker takes an HdepthReport, decides applicability from its stated
-preconditions, and returns a CheckOutcome with a witness dict when it fails.
-The named results, with q = hdepth(S/I):
+Each named result is one predicate over a ``Profile``.  It returns None when
+its preconditions do not hold, "" when it passes, and the violated
+inequality when it fails.  With q = hdepth(S/I):
 
 * ``main``                   -- hdepth(I) >= hdepth(S/I) whenever q <= 6 or n <= 9;
 * ``principal-equivalence``  -- I principal <=> hdepth(I) = n <=> q = n-1;
@@ -19,10 +19,11 @@ The named results, with q = hdepth(S/I):
                                 verification suite: it is expected to fail
                                 somewhere.
 
-``evaluate_profile`` is the allocation-light path used by the corpus harness:
-every checker above is a function of n and the alpha vector of S/I alone
-(principality included, via the multiples-of-one-monomial profile of
-alpha(I)), so exhaustive runs can be aggregated per distinct alpha vector.
+``CHECKS`` / ``run_checks`` apply the predicates to an HdepthReport and attach
+a witness dict to each failure.  ``evaluate_profile`` is the allocation-light
+path of the corpus harness: a Profile is a function of n and alpha(S/I) alone
+(principality included, via the profile of alpha(I)), so exhaustive runs are
+aggregated per distinct alpha vector.
 
 ``reproduce_bound_tables`` regenerates the auxiliary difference tables
 x -> C(x,k) - c*C(x,k-1) that the level-6/level-7 bound derivations tabulate,
@@ -34,53 +35,89 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .combinatorics import binom, binom_row, kk_upper_bound, macaulay_rep
-from .depth import HdepthReport, beta_values, hdepth
+from .combinatorics import (binom, binom_diff, complement_counts, kk_upper_bound,
+                            macaulay_rep)
+from .depth import HdepthReport, beta_values, hdepth, hdepth_report
 from .ideals import Ideal
 
-CHECK_ORDER = (
-    "main",
-    "principal-equivalence",
-    "bound-equivalence",
-    "q6-bounds",
-    "lemma79",
-    "beta47-bound",
-)
+
+class Profile(NamedTuple):
+    """What every predicate reads: n, both depths (q = hdepth(S/I)), the
+    standing reductions, and the beta table of S/I at q."""
+
+    n: int
+    q: int
+    h_ideal: int
+    principal: bool
+    in_m2: bool
+    beta_q: tuple[int, ...]
+
+
+# --- the predicates ------------------------------------------------------------
+
+def _main(p: Profile) -> str | None:
+    if p.q > 6 and p.n > 9:
+        return None
+    return "" if p.h_ideal >= p.q else f"hdepth(I) = {p.h_ideal} < hdepth(S/I) = {p.q}"
+
+
+def _principal_equivalence(p: Profile) -> str | None:
+    sides = (p.principal, p.h_ideal == p.n, p.q == p.n - 1)
+    if len(set(sides)) == 1:
+        return ""
+    return f"principal={sides[0]}, hdepth(I)=n is {sides[1]}, hdepth(S/I)=n-1 is {sides[2]}"
+
+
+def _bound_equivalence(p: Profile) -> str | None:
+    """Both routes to 'hdepth(I) >= q' must agree: the depth computed from
+    alpha(I) versus the beta bounds of S/I at q."""
+    if p.principal or not p.in_m2:
+        return None
+    left = p.h_ideal >= p.q
+    right = all(p.beta_q[k] <= binom(p.n - p.q + k - 1, k) for k in range(3, p.q + 1))
+    return "" if left == right else (
+        f"hdepth(I) >= {p.q} is {left} but the beta bound test gives {right}")
+
+
+def _q6_bounds(p: Profile) -> str | None:
+    if p.q != 6 or p.principal or not p.in_m2:
+        return None
+    caps = ((3, binom(p.n - 4, 3)), (4, binom(p.n - 3, 4)),
+            (5, binom(p.n - 2, 5)), (6, binom(p.n - 1, 6)))
+    return "; ".join(f"b_{k}^6 = {p.beta_q[k]} > {cap}" for k, cap in caps if p.beta_q[k] > cap)
+
+
+def _lemma79(p: Profile) -> str | None:
+    if p.n != 9 or p.q != 7:
+        return None
+    b = p.beta_q
+    out = [f"b_{k}^7 = {b[k]} > {k + 1}" for k in range(3, 8) if b[k] > k + 1]
+    cap3 = binom(p.n - 5, 3)
+    if b[3] > cap3:
+        out.append(f"b_3^7 = {b[3]} > C({p.n}-5,3) = {cap3}")
+    return "; ".join(out)
+
+
+def _beta47_bound(p: Profile) -> str | None:
+    if p.q != 7:
+        return None
+    cap = binom(p.n - 4, 4)
+    return "" if p.beta_q[4] <= cap else f"b_4^7 = {p.beta_q[4]} > C({p.n}-4,4) = {cap}"
+
+
+PREDICATES = {
+    "main": _main,
+    "principal-equivalence": _principal_equivalence,
+    "bound-equivalence": _bound_equivalence,
+    "q6-bounds": _q6_bounds,
+    "lemma79": _lemma79,
+    "beta47-bound": _beta47_bound,
+}
+CHECK_ORDER = tuple(PREDICATES)
 
 # beta47-bound is a search target (expected to fail in general), never a
 # pass/fail criterion for verification runs.
 VERIFY_CHECKS = CHECK_ORDER[:5]
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    applicable: bool
-    passed: bool
-    witness: dict | None = None
-
-
-# --- shared bound predicates -------------------------------------------------
-
-def lem_bounds_hold(n: int, q: int, beta_q) -> bool:
-    """b_k^q <= C(n-q+k-1, k) for all 3 <= k <= q (vacuously true for q < 3)."""
-    return all(beta_q[k] <= binom(n - q + k - 1, k) for k in range(3, q + 1))
-
-
-def q6_bound_violations(n: int, beta6) -> list[str]:
-    """Violated inequalities among the four q = 6 beta bounds."""
-    bounds = [(3, binom(n - 4, 3)), (4, binom(n - 3, 4)),
-              (5, binom(n - 2, 5)), (6, binom(n - 1, 6))]
-    return [f"b_{k}^6 = {beta6[k]} > {cap}" for k, cap in bounds if beta6[k] > cap]
-
-
-def q7_bound_violations(n: int, beta7) -> list[str]:
-    """Violated inequalities among the n = 9, q = 7 bounds (k+1 caps and b_3)."""
-    out = [f"b_{k}^7 = {beta7[k]} > {k + 1}" for k in range(3, 8) if beta7[k] > k + 1]
-    cap3 = binom(n - 5, 3)
-    if beta7[3] > cap3:
-        out.append(f"b_3^7 = {beta7[3]} > C({n}-5,3) = {cap3}")
-    return out
 
 
 def principal_alpha_profile(n: int, alpha_ideal) -> bool:
@@ -95,6 +132,20 @@ def principal_alpha_profile(n: int, alpha_ideal) -> bool:
 
 
 # --- checkers over full reports ----------------------------------------------
+
+@dataclass(frozen=True)
+class CheckOutcome:
+    name: str
+    applicable: bool
+    passed: bool
+    witness: dict | None = None
+
+
+def _report_profile(report: HdepthReport) -> Profile:
+    q = report.hdepth_quotient
+    return Profile(report.n, q, report.hdepth_ideal, report.principal, report.in_m2,
+                   report.beta_triangle_quotient[q].values)
+
 
 def _witness(report: HdepthReport, name: str, violated: str) -> dict:
     q = report.hdepth_quotient
@@ -113,106 +164,26 @@ def _witness(report: HdepthReport, name: str, violated: str) -> dict:
     }
 
 
-def check_main(report: HdepthReport) -> CheckOutcome:
-    """hdepth(I) >= hdepth(S/I), claimed whenever hdepth(S/I) <= 6 or n <= 9."""
-    q = report.hdepth_quotient
-    applicable = q <= 6 or report.n <= 9
-    passed = not applicable or report.hdepth_ideal >= q
-    witness = None
-    if applicable and not passed:
-        witness = _witness(report, "main",
-                           f"hdepth(I) = {report.hdepth_ideal} < hdepth(S/I) = {q}")
-    return CheckOutcome("main", applicable, passed, witness)
-
-
-def check_principal_equivalence(report: HdepthReport) -> CheckOutcome:
-    """Three-way equivalence: principal <=> hdepth(I) = n <=> hdepth(S/I) = n-1."""
-    n = report.n
-    sides = (report.principal,
-             report.hdepth_ideal == n,
-             report.hdepth_quotient == n - 1)
-    passed = len(set(sides)) == 1
-    witness = None
-    if not passed:
-        witness = _witness(
-            report, "principal-equivalence",
-            f"principal={sides[0]}, hdepth(I)=n is {sides[1]}, hdepth(S/I)=n-1 is {sides[2]}")
-    return CheckOutcome("principal-equivalence", True, passed, witness)
-
-
-def check_bound_equivalence(report: HdepthReport) -> CheckOutcome:
-    """Both routes to 'hdepth(I) >= q' must agree: the depth computed from
-    alpha(I) versus the beta bounds of S/I at q.  Applicable under the
-    standing reductions (nonprincipal, inside m^2)."""
-    applicable = not report.principal and report.in_m2
-    passed = True
-    witness = None
-    if applicable:
-        q = report.hdepth_quotient
-        left = report.hdepth_ideal >= q
-        right = lem_bounds_hold(report.n, q, report.beta_triangle_quotient[q].values)
-        passed = left == right
-        if not passed:
-            witness = _witness(
-                report, "bound-equivalence",
-                f"hdepth(I) >= {q} is {left} but the beta bound test gives {right}")
-    return CheckOutcome("bound-equivalence", applicable, passed, witness)
-
-
-def check_q6_bounds(report: HdepthReport) -> CheckOutcome:
-    """The four beta bounds at hdepth(S/I) = 6 (nonprincipal, inside m^2)."""
-    applicable = (report.hdepth_quotient == 6
-                  and not report.principal and report.in_m2)
-    passed = True
-    witness = None
-    if applicable:
-        violations = q6_bound_violations(report.n, report.beta_triangle_quotient[6].values)
-        passed = not violations
-        if violations:
-            witness = _witness(report, "q6-bounds", "; ".join(violations))
-    return CheckOutcome("q6-bounds", applicable, passed, witness)
-
-
-def check_lemma79(report: HdepthReport) -> CheckOutcome:
-    """b_k^7 <= k+1 (k = 3..7) and b_3^7 <= C(n-5,3), at n = 9 with q = 7."""
-    applicable = report.n == 9 and report.hdepth_quotient == 7
-    passed = True
-    witness = None
-    if applicable:
-        violations = q7_bound_violations(report.n, report.beta_triangle_quotient[7].values)
-        passed = not violations
-        if violations:
-            witness = _witness(report, "lemma79", "; ".join(violations))
-    return CheckOutcome("lemma79", applicable, passed, witness)
-
-
-def check_beta47_bound(report: HdepthReport) -> CheckOutcome:
-    """b_4^7 <= C(n-4,4) at q = 7.  Search target: fails for some ideals."""
-    applicable = report.hdepth_quotient == 7
-    passed = True
-    witness = None
-    if applicable:
-        b4 = report.beta_triangle_quotient[7][4]
-        cap = binom(report.n - 4, 4)
-        passed = b4 <= cap
-        if not passed:
-            witness = _witness(report, "beta47-bound",
-                               f"b_4^7 = {b4} > C({report.n}-4,4) = {cap}")
-    return CheckOutcome("beta47-bound", applicable, passed, witness)
-
-
-CHECKS = {
-    "main": check_main,
-    "principal-equivalence": check_principal_equivalence,
-    "bound-equivalence": check_bound_equivalence,
-    "q6-bounds": check_q6_bounds,
-    "lemma79": check_lemma79,
-    "beta47-bound": check_beta47_bound,
-}
+def _outcome(report: HdepthReport, profile: Profile, name: str) -> CheckOutcome:
+    violated = PREDICATES[name](profile)
+    return CheckOutcome(name, violated is not None, not violated,
+                        _witness(report, name, violated) if violated else None)
 
 
 def run_checks(report: HdepthReport, names=VERIFY_CHECKS) -> list[CheckOutcome]:
-    return [CHECKS[name](report) for name in names]
+    profile = _report_profile(report)
+    return [_outcome(report, profile, name) for name in names]
+
+
+# CHECKS[name](report) -> CheckOutcome, with a witness dict when it fails
+CHECKS = {name: (lambda report, name=name: _outcome(report, _report_profile(report), name))
+          for name in CHECK_ORDER}
+
+
+def witness_from_ideal(I: Ideal, name: str) -> dict | None:
+    """Fresh full evaluation of one check on one ideal; the failing witness
+    dict, or None if the check passes (or does not apply)."""
+    return CHECKS[name](hdepth_report(I)).witness
 
 
 # --- fast alpha-profile evaluation (corpus harness) ---------------------------
@@ -233,48 +204,16 @@ def evaluate_profile(n: int, alpha_sf, principal: bool | None = None) -> Profile
     None it is derived from the alpha profile (equivalent, and cross-checked
     against the generator count in the tests).
     """
-    row = binom_row(n)
-    alpha_i = tuple(row[j] - alpha_sf[j] for j in range(n + 1))
+    alpha_i = complement_counts(n, alpha_sf)
     q = hdepth(alpha_sf)
     h_ideal = hdepth(alpha_i)
     if principal is None:
         principal = principal_alpha_profile(n, alpha_i)
     in_m2 = alpha_sf[0] == 1 and alpha_sf[1] == n
-    beta_q = beta_values(alpha_sf, q)
-
-    flags = []
-    # main
-    applicable = q <= 6 or n <= 9
-    flags.append((applicable, not applicable or h_ideal >= q))
-    # principal-equivalence
-    flags.append((True, principal == (h_ideal == n) == (q == n - 1)))
-    # bound-equivalence
-    applicable = not principal and in_m2
-    flags.append((applicable,
-                  not applicable or (h_ideal >= q) == lem_bounds_hold(n, q, beta_q)))
-    # q6-bounds
-    applicable = q == 6 and not principal and in_m2
-    flags.append((applicable,
-                  not applicable or not q6_bound_violations(n, beta_q)))
-    # lemma79
-    applicable = n == 9 and q == 7
-    flags.append((applicable,
-                  not applicable or not q7_bound_violations(n, beta_q)))
-    # beta47-bound
-    applicable = q == 7
-    flags.append((applicable,
-                  not applicable or beta_q[4] <= binom(n - 4, 4)))
-
-    return ProfileOutcome(q, h_ideal, principal, in_m2, tuple(flags))
-
-
-def witness_from_ideal(I: Ideal, name: str) -> dict | None:
-    """Fresh full evaluation of one check on one ideal; the failing witness
-    dict, or None if the check passes (or does not apply)."""
-    from .depth import hdepth_report
-
-    outcome = CHECKS[name](hdepth_report(I))
-    return outcome.witness
+    profile = Profile(n, q, h_ideal, principal, in_m2, beta_values(alpha_sf, q))
+    verdicts = [check(profile) for check in PREDICATES.values()]
+    return ProfileOutcome(q, h_ideal, principal, in_m2,
+                          tuple((v is not None, not v) for v in verdicts))
 
 
 # --- published difference tables ----------------------------------------------
@@ -372,28 +311,24 @@ def _alpha2_window_computed() -> dict[str, tuple[int, ...]]:
             "max_alpha3": max_a3, "max_6a3_minus_10a2": cap}
 
 
+def _table_diffs(table: str, row: str, xs, printed, computed) -> list[dict]:
+    return [{"table": table, "row": row, "x": x, "expected": e, "computed": c}
+            for x, e, c in zip(xs, printed, computed) if e != c]
+
+
 def reproduce_bound_tables() -> list[dict]:
     """Recompute every published table cell and return the diffs (expect none).
 
     Each diff is {"table", "row", "x", "expected", "computed"}.
     """
-    from .combinatorics import binom_diff
-
     diffs = []
     for table in BOUND_TABLES:
         for k, printed in table.rows:
-            for i, expected in enumerate(printed):
-                x = i + 1
-                computed = binom_diff(table.c, k, x)
-                if computed != expected:
-                    diffs.append({"table": table.group, "row": f"k={k}", "x": x,
-                                  "expected": expected, "computed": computed})
-    computed_window = _alpha2_window_computed()
+            xs = range(1, len(printed) + 1)
+            diffs += _table_diffs(table.group, f"k={k}", xs, printed,
+                                  [binom_diff(table.c, k, x) for x in xs])
+    computed = _alpha2_window_computed()
+    alpha2 = ALPHA2_WINDOW_TABLE[0][1]
     for label, printed in ALPHA2_WINDOW_TABLE:
-        for i, expected in enumerate(printed):
-            computed = computed_window[label][i]
-            if computed != expected:
-                diffs.append({"table": "q7k5-alpha2-window", "row": label,
-                              "x": ALPHA2_WINDOW_TABLE[0][1][i],
-                              "expected": expected, "computed": computed})
+        diffs += _table_diffs("q7k5-alpha2-window", label, alpha2, printed, computed[label])
     return diffs

@@ -14,7 +14,7 @@ import pytest
 from hilbertdepth.combinatorics import binom_diff, kk_lower_bound, kk_upper_bound, macaulay_rep
 from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  alpha_census, run_verification,
-                                 search_counterexample)
+                                 search_n_range)
 from hilbertdepth.depth import alpha_from_beta, beta_table, hdepth_report
 from hilbertdepth.ideals import parse_ideal
 from hilbertdepth.theorems import CHECKS, reproduce_bound_tables
@@ -207,20 +207,10 @@ def test_criterion_10_macaulay_and_kk():
 
 def test_criterion_11_beta47_search():
     t0 = time.monotonic()
-    reports = []
-    witnesses = []
-    scanned = 0
-    share, extra = divmod(SEARCH_BUDGET, len(SEARCH_N_RANGE))
-    for i, n in enumerate(SEARCH_N_RANGE):
-        plan = EnumerationPlan(n=n, mode="random",
-                               sample_count=share + (1 if i < extra else 0),
-                               seed=SEARCH_SEED, workers=4)
-        report = search_counterexample(plan, "beta47-bound", max_witnesses=1)
-        reports.append(report)
-        scanned += report.instances_scanned
-        witnesses.extend(report.witnesses)
-        if witnesses:
-            break
+    combined, reports = search_n_range("beta47-bound", SEARCH_N_RANGE, "random",
+                                       SEARCH_BUDGET, SEARCH_SEED, 4, 1)
+    witnesses = combined.witnesses
+    scanned = combined.instances_scanned
     elapsed = time.monotonic() - t0
 
     statuses = {r.status for r in reports}

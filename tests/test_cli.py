@@ -205,3 +205,21 @@ def test_search_n_range_split(capsys):
 def test_predicate_registry_matches_cli_names():
     assert {"main", "principal-equivalence", "bound-equivalence",
             "q6-bounds", "lemma79", "beta47-bound"} == set(CHECKS)
+
+
+def test_exhaustive_and_random_conflict(capsys):
+    corpus = ["-n", "4", "--exhaustive", "--random", "--samples", "10", "--seed", "1"]
+    for argv in (["verify"] + corpus, ["search", "--predicate", "main"] + corpus):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_max_witnesses_must_be_positive(capsys):
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--predicate", "main", "-n", "7", "--samples", "4000",
+                  "--seed", "1", "--max-witnesses", bad])
+        assert exc.value.code == 2
+        assert "--max-witnesses" in capsys.readouterr().err

@@ -9,7 +9,8 @@ from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  alpha_census, compressed_complex_ideal,
                                  colex_first_masks, default_degree_weights,
                                  enumerate_downsets, enumerate_ideals,
-                                 random_ideal, run_verification, sample_rng,
+                                 find_ideal_with_alpha, random_ideal,
+                                 run_verification, sample_rng,
                                  search_counterexample)
 from hilbertdepth.errors import CapacityError
 from hilbertdepth.ideals import alpha_of_quotient, parse_ideal
@@ -179,6 +180,12 @@ def test_compressed_complex_realizes_alpha():
     # a non-closed family is rejected: 1 vertex cannot carry an edge
     with pytest.raises(ValueError):
         compressed_complex_ideal(3, (1, 1, 1, 0))
+
+
+def test_find_ideal_with_alpha_realizes_every_census_profile():
+    for n in range(1, 6):
+        for alpha in alpha_census(n):
+            assert tuple(alpha_of_quotient(find_ideal_with_alpha(n, alpha))) == alpha
 
 
 # --- harness ----------------------------------------------------------------------

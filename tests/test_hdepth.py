@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from hilbertdepth.combinatorics import binom, binom_row
 from hilbertdepth.corpus import enumerate_ideals
 from hilbertdepth.depth import (BetaTable, alpha_from_beta, beta_table,
-                                beta_values, hdepth, hdepth_report)
+                                beta_triangle, beta_values, hdepth,
+                                hdepth_report)
 from hilbertdepth.errors import DomainError
 from hilbertdepth.ideals import parse_ideal
 from hilbertdepth.theorems import principal_alpha_profile
@@ -87,6 +89,33 @@ def test_hdepth_scan_is_max():
         assert all(b >= 0 for b in beta_values(a, d))
         for worse in range(d + 1, n + 1):
             assert any(b < 0 for b in beta_values(a, worse))
+
+
+def closed_form_beta(a, q):
+    """b_k^q = sum_j (-1)^(k-j) C(q-j, k-j) a_j, straight from the definition."""
+    return tuple(sum((-1) ** (k - j) * comb(q - j, k - j) * a[j] for j in range(k + 1))
+                 for k in range(q + 1))
+
+
+def test_beta_rows_match_closed_form_seeded():
+    # every level of the triangle, and every single-level table, against the
+    # definition; hdepth is the largest level whose closed-form row is >= 0.
+    # Complements of uniform vectors reach the high levels uniform ones miss.
+    rng = random.Random(1414)
+    depths = set()
+    for _ in range(1000):
+        n = rng.randint(1, 14)
+        a = tuple(rng.randint(0, comb(n, j)) for j in range(n + 1))
+        for vec in (a, tuple(comb(n, j) - a[j] for j in range(n + 1))):
+            closed = [closed_form_beta(vec, d) for d in range(n + 1)]
+            assert [t.values for t in beta_triangle(vec)] == closed
+            q = rng.randint(0, n)
+            assert beta_values(vec, q) == closed[q]
+            if any(vec):
+                d = hdepth(vec)
+                depths.add(d)
+                assert d == max(d for d in range(n + 1) if min(closed[d]) >= 0)
+    assert len(depths) >= 8
 
 
 def test_hdepth_zero_module_errors():

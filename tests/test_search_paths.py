@@ -55,3 +55,25 @@ def test_search_respects_max_witnesses(monkeypatch):
     assert report.status == "witnesses-found"
     assert len(report.witnesses) == 3
     assert [w["sample_index"] for w in report.witnesses] == [0, 1, 2]
+
+
+def test_search_with_workers_stops_after_first_witness_chunk(monkeypatch):
+    # the pool keeps a window of tasks in flight; stopping early discards the
+    # rest of it, so the scanned count is the same as with one worker
+    pos = CHECK_ORDER.index("main")
+
+    def always_failing(n, alpha_sf, principal=None):
+        flags = [(False, True)] * len(CHECK_ORDER)
+        flags[pos] = (True, False)
+        return ProfileOutcome(0, 0, bool(principal), True, tuple(flags))
+
+    monkeypatch.setattr(corpus, "evaluate_profile", always_failing)
+    monkeypatch.setattr(corpus, "witness_from_ideal",
+                        lambda ideal, name: {"check": name, "n": ideal.n,
+                                             "ideal": str(ideal), "violated": "x"})
+
+    plan = EnumerationPlan(n=7, mode="random", sample_count=40_000, seed=4, workers=2)
+    report = search_counterexample(plan, "main", max_witnesses=1)
+    assert report.status == "witnesses-found"
+    assert report.instances_scanned == 2000
+    assert report.witnesses[0]["sample_index"] == 0

@@ -9,11 +9,8 @@ from hilbertdepth.corpus import compressed_complex_ideal, enumerate_ideals
 from hilbertdepth.depth import hdepth_report
 from hilbertdepth.ideals import alpha_of_quotient, parse_ideal
 from hilbertdepth.theorems import (CHECK_ORDER, CHECKS, VERIFY_CHECKS,
-                                   check_bound_equivalence, check_lemma79,
-                                   check_main, check_principal_equivalence,
-                                   check_q6_bounds, evaluate_profile,
-                                   reproduce_bound_tables, run_checks,
-                                   witness_from_ideal)
+                                   evaluate_profile, reproduce_bound_tables,
+                                   run_checks, witness_from_ideal)
 
 
 def test_registry_names():
@@ -23,40 +20,40 @@ def test_registry_names():
 
 def test_principal_equivalence_cases():
     r = hdepth_report(parse_ideal("x1*x2*x3", 3))
-    out = check_principal_equivalence(r)
+    out = CHECKS["principal-equivalence"](r)
     assert out.applicable and out.passed
 
     r = hdepth_report(parse_ideal("x1, x2, x3", 3))
-    out = check_principal_equivalence(r)
+    out = CHECKS["principal-equivalence"](r)
     assert out.applicable and out.passed  # all three sides false
 
     r = hdepth_report(parse_ideal("x1", 1))
-    out = check_principal_equivalence(r)
+    out = CHECKS["principal-equivalence"](r)
     assert out.applicable and out.passed  # all three sides true at n = 1
 
 
 def test_main_small_cases():
     r = hdepth_report(parse_ideal("x1*x2", 2))
-    out = check_main(r)
+    out = CHECKS["main"](r)
     assert out.applicable and out.passed  # 2 >= 1
 
     for n in range(1, 5):
         for ideal in enumerate_ideals(n):
-            out = check_main(hdepth_report(ideal))
+            out = CHECKS["main"](hdepth_report(ideal))
             assert out.applicable and out.passed
 
 
 def test_bound_equivalence_gating_and_agreement():
     # principal or not-inside-m^2 instances are gated out
     r = hdepth_report(parse_ideal("x1*x2*x3", 3))
-    assert not check_bound_equivalence(r).applicable
+    assert not CHECKS["bound-equivalence"](r).applicable
     r = hdepth_report(parse_ideal("x1, x2*x3", 3))
-    assert not check_bound_equivalence(r).applicable
+    assert not CHECKS["bound-equivalence"](r).applicable
 
     applicable = 0
     for n in range(2, 6):
         for ideal in enumerate_ideals(n):
-            out = check_bound_equivalence(hdepth_report(ideal))
+            out = CHECKS["bound-equivalence"](hdepth_report(ideal))
             if out.applicable:
                 applicable += 1
                 assert out.passed
@@ -66,7 +63,7 @@ def test_bound_equivalence_gating_and_agreement():
 def test_q6_bounds_gating():
     # at n <= 6 the quotient depth never reaches 6, so the check never applies
     for ideal in enumerate_ideals(3):
-        assert not check_q6_bounds(hdepth_report(ideal)).applicable
+        assert not CHECKS["q6-bounds"](hdepth_report(ideal)).applicable
 
 
 def test_lemma79_gating_and_constructed_instance():
@@ -78,18 +75,18 @@ def test_lemma79_gating_and_constructed_instance():
     r = hdepth_report(ideal)
     assert r.hdepth_quotient == 7
     assert r.beta_triangle_quotient[7].values == (1, 2, 0, 0, 0, 0, 0, 0)
-    out = check_lemma79(r)
+    out = CHECKS["lemma79"](r)
     assert out.applicable and out.passed
 
     # principal at n = 9 has q = 8: not applicable
     principal = parse_ideal("*".join(f"x{i}" for i in range(1, 10)), 9)
-    assert not check_lemma79(hdepth_report(principal)).applicable
+    assert not CHECKS["lemma79"](hdepth_report(principal)).applicable
 
 
 def test_witness_structure_on_forced_failure():
     r = hdepth_report(parse_ideal("x1*x2, x2*x3", 3))
     broken = dataclasses.replace(r, hdepth_ideal=0)
-    out = check_main(broken)
+    out = CHECKS["main"](broken)
     assert out.applicable and not out.passed
     w = out.witness
     assert w is not None
@@ -103,18 +100,78 @@ def test_witness_from_ideal_none_when_passing():
     assert witness_from_ideal(parse_ideal("x1*x2", 2), "main") is None
 
 
+# Quotient alpha vectors at n = 9 on which verification checks fail (found by
+# an exact scan of the Kruskal-Katona-realizable profiles; random sampling
+# does not reach them): q = 6 with hdepth(I) = 5, and q = 7 with hdepth(I) = 6.
+N9_Q6_ALPHA = (1, 9, 36, 82, 105, 91, 40, 0, 0, 0)
+N9_Q7_ALPHA = (1, 9, 36, 84, 123, 111, 64, 20, 0, 0)
+
+
 def test_evaluate_profile_matches_rich_checkers_exhaustive():
-    for n in range(1, 5):
-        for ideal in enumerate_ideals(n):
-            r = hdepth_report(ideal)
-            profile = evaluate_profile(n, tuple(r.alpha_quotient))
-            assert profile.q == r.hdepth_quotient
-            assert profile.h_ideal == r.hdepth_ideal
-            assert profile.principal == r.principal
-            assert profile.in_m2 == r.in_m2
-            for name, flags in zip(CHECK_ORDER, profile.flags):
-                outcome = CHECKS[name](r)
-                assert flags == (outcome.applicable, outcome.passed), (name, ideal)
+    ideals = [ideal for n in range(1, 5) for ideal in enumerate_ideals(n)]
+    ideals += [compressed_complex_ideal(9, alpha) for alpha in (N9_Q6_ALPHA, N9_Q7_ALPHA)]
+    for ideal in ideals:
+        r = hdepth_report(ideal)
+        profile = evaluate_profile(ideal.n, tuple(r.alpha_quotient))
+        assert profile.q == r.hdepth_quotient
+        assert profile.h_ideal == r.hdepth_ideal
+        assert profile.principal == r.principal
+        assert profile.in_m2 == r.in_m2
+        for name, flags in zip(CHECK_ORDER, profile.flags):
+            outcome = CHECKS[name](r)
+            assert flags == (outcome.applicable, outcome.passed), (name, ideal)
+
+
+def test_n9_q6_counterexample_pinned():
+    ideal = compressed_complex_ideal(9, N9_Q6_ALPHA)
+    common = {
+        "n": 9,
+        "ideal": "x6*x8*x9, x7*x8*x9, x1*x2*x8*x9, x1*x3*x8*x9, x2*x3*x8*x9, "
+                 "x1*x4*x8*x9, x2*x4*x8*x9, x3*x4*x8*x9, x1*x5*x8*x9, x2*x5*x8*x9, "
+                 "x3*x5*x8*x9, x4*x5*x8*x9, x1*x2*x4*x6*x7*x9, x1*x3*x4*x6*x7*x9, "
+                 "x2*x3*x4*x6*x7*x9, x1*x2*x5*x6*x7*x9, x1*x3*x5*x6*x7*x9, "
+                 "x2*x3*x5*x6*x7*x9, x1*x4*x5*x6*x7*x9, x2*x4*x5*x6*x7*x9, "
+                 "x3*x4*x5*x6*x7*x9, x1*x2*x3*x4*x5*x6*x7, x1*x2*x3*x4*x5*x6*x8, "
+                 "x1*x2*x3*x4*x5*x7*x8, x1*x2*x3*x4*x6*x7*x8, x1*x2*x3*x5*x6*x7*x8, "
+                 "x1*x2*x4*x5*x6*x7*x8, x1*x3*x4*x5*x6*x7*x8, x2*x3*x4*x5*x6*x7*x8, "
+                 "x1*x2*x3*x4*x5*x6*x9, x1*x2*x3*x4*x5*x7*x9",
+        "alpha_quotient": [1, 9, 36, 82, 105, 91, 40, 0, 0, 0],
+        "alpha_ideal": [0, 0, 0, 2, 21, 35, 44, 36, 9, 1],
+        "hdepth_quotient": 6,
+        "hdepth_ideal": 5,
+        "beta_quotient_at_q": [1, 3, 6, 8, 0, 22, 0],
+        "principal": False,
+        "in_m2": True,
+    }
+    assert witness_from_ideal(ideal, "main") == dict(
+        common, check="main", violated="hdepth(I) = 5 < hdepth(S/I) = 6")
+    assert witness_from_ideal(ideal, "q6-bounds") == dict(
+        common, check="q6-bounds", violated="b_5^6 = 22 > 21")
+    for name in ("principal-equivalence", "bound-equivalence", "lemma79", "beta47-bound"):
+        assert witness_from_ideal(ideal, name) is None
+
+
+def test_n9_q7_counterexample_pinned():
+    ideal = compressed_complex_ideal(9, N9_Q7_ALPHA)
+    common = {
+        "n": 9,
+        "ideal": "x4*x7*x8*x9, x5*x7*x8*x9, x6*x7*x8*x9, x1*x2*x7*x8*x9, "
+                 "x1*x3*x7*x8*x9, x2*x3*x7*x8*x9, x2*x3*x4*x5*x6*x8*x9, "
+                 "x1*x2*x3*x4*x5*x6*x7*x8, x1*x2*x3*x4*x5*x6*x7*x9",
+        "alpha_quotient": [1, 9, 36, 84, 123, 111, 64, 20, 0, 0],
+        "alpha_ideal": [0, 0, 0, 0, 3, 15, 20, 16, 9, 1],
+        "hdepth_quotient": 7,
+        "hdepth_ideal": 6,
+        "beta_quotient_at_q": [1, 2, 3, 4, 2, 0, 8, 0],
+        "principal": False,
+        "in_m2": True,
+    }
+    assert witness_from_ideal(ideal, "main") == dict(
+        common, check="main", violated="hdepth(I) = 6 < hdepth(S/I) = 7")
+    assert witness_from_ideal(ideal, "lemma79") == dict(
+        common, check="lemma79", violated="b_6^7 = 8 > 7")
+    for name in ("principal-equivalence", "bound-equivalence", "q6-bounds", "beta47-bound"):
+        assert witness_from_ideal(ideal, name) is None
 
 
 def test_run_checks_default_set():
