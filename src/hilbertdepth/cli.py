@@ -345,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
             corpus = p.add_mutually_exclusive_group()
             corpus.add_argument("--exhaustive", action="store_true")
             corpus.add_argument("--random", action="store_true")
-            p.add_argument("--samples", type=int, default=None)
+            p.add_argument("--samples", type=_positive_int, default=None)
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=_positive_int, default=1)
 
     p_compute = sub.add_parser("compute", help="report for one ideal")
     common(p_compute, with_corpus=False)

@@ -6,14 +6,17 @@ lattice (the downset is the set of monomials *outside* the ideal, i.e. the
 faces of a simplicial complex; the minimal non-faces are the generators).
 ``enumerate_ideals`` walks exactly these downsets by backtracking over degree
 levels, so it is duplicate-free by construction; the supported ceiling is
-n <= EXHAUSTIVE_N_MAX (downset counts explode beyond ~7.8M at n = 6).
+n <= EXHAUSTIVE_N_MAX (downset counts explode beyond ~7.8M at n = 6).  Level
+n is never walked: its one face lies only in the full downset (I = 0), which
+is excluded, so every walk stops at level n - 1.
 
 The verification harness aggregates per distinct alpha vector: every check it
 runs is a function of (n, alpha(S/I)) alone, so exhaustive runs tally an
-"alpha census" instead of materializing 7.8M ideal objects, and random runs
-memoize check outcomes per profile.  Work is partitioned by fixing the
-membership pattern of the first levels (the chunk key), which preserves the
-enumerated multiset for any worker count.
+"alpha census" instead of materializing 7.8M ideal objects, and a random
+run's tasks evaluate each profile once.  Partitioning is the census's concern:
+``alpha_census`` splits its walk into work chunks by fixing the selection of
+the first levels (the chunk key), which preserves the census for any worker
+count; the enumeration is not partitioned.
 
 Random generation draws a generator count uniform in [1, 3n] and generator
 degrees from a distribution weighted toward [2, n-2], then minimalizes.
@@ -100,31 +103,60 @@ def _check_exhaustive_n(n: int):
             f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_N_MAX}, got {n}")
 
 
-def _prefixes(lv: _Levels, depth: int) -> list[tuple[int, ...]]:
-    """All valid level selections for levels 1..depth, in DFS order."""
-    out: list[tuple[int, ...]] = []
+def _selections(lv: _Levels, top: int):
+    """Every valid selection of levels 1..top, in DFS order (each level's
+    subsets in descending bitmask order)."""
+    acc: list[int] = []
 
-    def rec(d: int, prev: int, acc: list[int]):
-        if d > depth:
-            out.append(tuple(acc))
+    def rec(d: int, prev: int):
+        if d > top:
+            yield tuple(acc)
             return
         allowed = _allowed(lv, d, prev)
         s = allowed
         while True:
             acc.append(s)
-            rec(d + 1, s, acc)
+            yield from rec(d + 1, s)
             acc.pop()
             if s == 0:
-                break
+                return
             s = (s - 1) & allowed
 
-    rec(1, 0, [])
-    return out
+    return rec(1, 0)
 
 
-# A work chunk fixes the levels 1..depth selection and, below heavy prefixes,
-# additionally pins the membership pattern of a few level-(depth+1) slots, so
-# that no chunk dominates the walk.  Chunks partition the downsets exactly.
+def enumerate_downsets(n: int):
+    """Yield every proper-nonzero-ideal downset as per-level index bitmasks.
+
+    Level n is not walked: its one face lies only in the full downset
+    (I = 0), which is excluded, so every leaf ends in an empty level n.
+    """
+    _check_exhaustive_n(n)
+    for selection in _selections(_levels(n), n - 1):
+        yield selection + (0,)
+
+
+def _gens_from_levels(lv: _Levels, leaf: tuple[int, ...]) -> list[int]:
+    """Minimal non-faces of the downset: generator masks, sorted by (degree, mask)."""
+    gens = []
+    for d in range(1, lv.n + 1):
+        chosen, prev = leaf[d - 1], leaf[d - 2] if d > 1 else 0
+        gens += [m for i, m in enumerate(lv.masks[d])
+                 if not chosen >> i & 1 and lv.facet_bits[d][i] & ~prev == 0]
+    return gens
+
+
+def enumerate_ideals(n: int):
+    """Yield every proper nonzero squarefree ideal on n variables exactly once."""
+    lv = _levels(n)
+    for leaf in enumerate_downsets(n):
+        yield Ideal(n, tuple(Monomial(m) for m in _gens_from_levels(lv, leaf)))
+
+
+# The census is cut into work chunks.  A chunk fixes the selection of levels
+# 1..min(2, n-1) and, below heavy selections, additionally pins the membership
+# pattern of a few slots of the next level, so that no chunk dominates the
+# walk.  Chunks partition the downsets exactly.
 _SPLIT_FREE_BITS = 12
 _SPLIT_MAX_FIXED = 6
 
@@ -132,17 +164,11 @@ _SPLIT_MAX_FIXED = 6
 @lru_cache(maxsize=8)
 def _chunk_specs(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     lv = _levels(n)
-    depth = min(2, n)
+    top = min(2, n - 1)
     chunks: list[tuple[tuple[int, ...], int, int]] = []
-    for prefix in _prefixes(lv, depth):
-        if depth == n:
-            chunks.append((prefix, 0, 0))
-            continue
-        allowed = _allowed(lv, depth + 1, prefix[-1])
+    for prefix in _selections(lv, top):
+        allowed = _allowed(lv, top + 1, prefix[-1]) if top < n - 1 else 0
         t = min(max(allowed.bit_count() - _SPLIT_FREE_BITS, 0), _SPLIT_MAX_FIXED)
-        if t == 0:
-            chunks.append((prefix, 0, 0))
-            continue
         fix = 0
         rest = allowed
         for _ in range(t):
@@ -158,159 +184,61 @@ def _chunk_specs(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     return tuple(chunks)
 
 
-def _partition_chunks(n: int, part: tuple[int, int] | None):
-    chunks = _chunk_specs(n)
-    if part is None:
-        return chunks
-    num_parts, idx = part
-    if num_parts < 1 or not 0 <= idx < num_parts:
-        raise ValueError(f"bad partition {part}")
-    return chunks[idx::num_parts]
-
-
-def enumerate_downsets(n: int, part: tuple[int, int] | None = None):
-    """Yield every proper-nonzero-ideal downset as per-level index bitmasks.
-
-    ``part = (num_parts, idx)`` restricts to one slice of the work chunks;
-    the union over all idx reproduces the unpartitioned multiset exactly.
-    """
-    _check_exhaustive_n(n)
-    lv = _levels(n)
-    full_leaf = tuple(lv.full[1:])
-
-    def rec(d: int, prev: int, acc: list[int]):
-        if d > n:
-            leaf = tuple(acc)
-            if leaf != full_leaf:
-                yield leaf
-            return
-        allowed = _allowed(lv, d, prev)
-        s = allowed
-        while True:
-            acc.append(s)
-            yield from rec(d + 1, s, acc)
-            acc.pop()
-            if s == 0:
-                break
-            s = (s - 1) & allowed
-
-    for prefix, fix, pattern in _partition_chunks(n, part):
-        depth = len(prefix)
-        if depth == n:
-            if prefix != full_leaf:
-                yield prefix
-            continue
-        d = depth + 1
-        allowed = _allowed(lv, d, prefix[-1]) & ~fix
-        s_free = allowed
-        while True:
-            s = s_free | pattern
-            acc = list(prefix)
-            acc.append(s)
-            if d == n:
-                leaf = tuple(acc)
-                if leaf != full_leaf:
-                    yield leaf
-            else:
-                yield from rec(d + 1, s, acc)
-            if s_free == 0:
-                break
-            s_free = (s_free - 1) & allowed
-
-
-def _gens_from_levels(lv: _Levels, leaf: tuple[int, ...]) -> list[int]:
-    """Minimal non-faces of the downset: generator masks, sorted by (degree, mask)."""
-    gens = []
-    for d in range(1, lv.n + 1):
-        chosen, prev = leaf[d - 1], leaf[d - 2] if d > 1 else 0
-        gens += [m for i, m in enumerate(lv.masks[d])
-                 if not chosen >> i & 1 and lv.facet_bits[d][i] & ~prev == 0]
-    return gens
-
-
-def enumerate_ideals(n: int, part: tuple[int, int] | None = None):
-    """Yield every proper nonzero squarefree ideal on n variables exactly once."""
-    lv = _levels(n)
-    for leaf in enumerate_downsets(n, part):
-        yield Ideal(n, tuple(Monomial(m) for m in _gens_from_levels(lv, leaf)))
-
-
 def alpha_census(n: int, part: tuple[int, int] | None = None) -> Counter:
     """Counter of alpha(S/I) over every proper nonzero ideal (one DFS pass).
 
     Keys are the full tuples (1, a_1, ..., a_n); the downset at level d has
-    a_d faces.  Much faster than materializing ideals: the per-leaf work is a
-    handful of popcounts.
+    a_d faces, and a_n is always 0 (level n is not walked, as in
+    ``enumerate_downsets``).  Much faster than materializing ideals: the
+    per-leaf work is a popcount.  ``part = (num_parts, idx)`` restricts the
+    walk to one slice of the work chunks; the union over all idx reproduces
+    the whole census exactly.
     """
     _check_exhaustive_n(n)
+    chunks = _chunk_specs(n)
+    if part is not None:
+        num_parts, idx = part
+        if num_parts < 1 or not 0 <= idx < num_parts:
+            raise ValueError(f"bad partition {part}")
+        chunks = chunks[idx::num_parts]
     lv = _levels(n)
     counts: dict[tuple[int, ...], int] = {}
     full_masks = lv.full
     facet_bits = lv.facet_bits
-    n_local = n
+    last = n - 1
 
-    def rec(d: int, prev: int, prefix: tuple[int, ...]):
-        if prev == full_masks[d - 1]:
-            allowed = full_masks[d]
-        else:
-            allowed = 0
-            for i, req in enumerate(facet_bits[d]):
-                if req & ~prev == 0:
-                    allowed |= 1 << i
+    def rec(d: int, allowed: int, pattern: int, key: tuple[int, ...]):
+        # the level-d selections are s | pattern for every subset s of allowed
         s = allowed
-        if d == n_local:
-            while True:
-                key = prefix + (s.bit_count(),)
-                counts[key] = counts.get(key, 0) + 1
-                if s == 0:
-                    return
-                s = (s - 1) & allowed
         while True:
-            rec(d + 1, s, prefix + (s.bit_count(),))
+            sel = s | pattern
+            if d == last:
+                leaf = key + (sel.bit_count(), 0)
+                counts[leaf] = counts.get(leaf, 0) + 1
+            else:
+                if sel == full_masks[d]:
+                    nxt = full_masks[d + 1]
+                else:
+                    nxt = 0
+                    for i, req in enumerate(facet_bits[d + 1]):
+                        if req & ~sel == 0:
+                            nxt |= 1 << i
+                rec(d + 1, nxt, 0, key + (sel.bit_count(),))
             if s == 0:
                 return
             s = (s - 1) & allowed
 
-    for prefix, fix, pattern in _partition_chunks(n, part):
-        key = (1,) + tuple(b.bit_count() for b in prefix)
-        depth = len(prefix)
-        if depth == n:
-            counts[key] = counts.get(key, 0) + 1
-            continue
-        d = depth + 1
-        allowed = _allowed(lv, d, prefix[-1]) & ~fix
-        s_free = allowed
-        while True:
-            s = s_free | pattern
-            if d == n:
-                leaf_key = key + (s.bit_count(),)
-                counts[leaf_key] = counts.get(leaf_key, 0) + 1
-            else:
-                rec(d + 1, s, key + (s.bit_count(),))
-            if s_free == 0:
-                break
-            s_free = (s_free - 1) & allowed
-
-    # drop the full downset (I = 0): it is the unique leaf with a full alpha row
-    full_key = (1,) + tuple(len(level) for level in lv.masks[1:])
-    if full_key in counts:
-        if counts[full_key] == 1:
-            del counts[full_key]
+    for prefix, fix, pattern in chunks:
+        key = (1,) + tuple(s.bit_count() for s in prefix)
+        d = len(prefix) + 1
+        if d > last:
+            counts[key + (0,)] = counts.get(key + (0,), 0) + 1
         else:
-            counts[full_key] -= 1
+            rec(d, _allowed(lv, d, prefix[-1]) & ~fix, pattern, key)
     return Counter(counts)
 
 
 # --- compressed complexes -------------------------------------------------------
-
-def colex_first_masks(n: int, k: int, count: int) -> list[int]:
-    """The first ``count`` k-subsets of {1..n} in colexicographic order, which
-    is the ascending order of their bit masks."""
-    masks = [m for m in range(1 << n) if m.bit_count() == k]
-    if count > len(masks):
-        raise ValueError(f"only C({n},{k})={len(masks)} subsets exist, wanted {count}")
-    return masks[:count]
-
 
 def compressed_complex_ideal(n: int, alpha: tuple[int, ...]) -> Ideal:
     """The ideal whose quotient complex takes the first alpha[j] faces of each
@@ -468,44 +396,38 @@ def _census_task(args):
     return {(alpha, None): c for alpha, c in census.items()}, [], sum(census.values())
 
 
-def _sample_tasks(plan: EnumerationPlan, names) -> list[tuple]:
-    """The plan's sample indices, split into tasks of _SAMPLE_TASK_SIZE."""
-    return [(plan.n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count),
-             tuple(names))
-            for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE)]
-
-
 def _failing(outcome, names) -> tuple[str, ...]:
     """The named checks that apply to a ProfileOutcome and fail on it."""
     return tuple(name for name in names
                  if outcome.flags[CHECK_ORDER.index(name)] == (True, False))
 
 
+def _witnesses(ideal: Ideal, failing, **extra) -> list[dict]:
+    """Witnesses of the failing checks, each from a fresh full evaluation."""
+    return [w | extra for w in (witness_from_ideal(ideal, name) for name in failing)
+            if w is not None]
+
+
 def _sample_task(args):
     """Scan sample indices [lo, hi): returns (profile counts, witnesses, scanned).
 
-    Keys are (alpha(S/I), principal); witnesses are produced by a fresh full
-    evaluation of the failing sample's ideal.
+    Keys are (alpha(S/I), principal).  The first sample of each failing key
+    becomes a witness, until the task holds _WITNESS_CAP_PER_TASK of them.
     """
     n, seed, lo, hi, names = args
     counts: dict[tuple, int] = {}
-    memo: dict[tuple, tuple] = {}
     witnesses: list[dict] = []
     for i in range(lo, hi):
         masks = random_gen_masks(n, sample_rng(seed, n, i))
-        alpha_sf = complement_counts(n, alpha_counts_of_ideal(n, masks))
-        key = (alpha_sf, len(masks) == 1)
-        failing = memo.get(key)
-        if failing is None:
-            failing = memo[key] = _failing(evaluate_profile(n, *key), names)
-        counts[key] = counts.get(key, 0) + 1
+        key = (complement_counts(n, alpha_counts_of_ideal(n, masks)), len(masks) == 1)
+        if key in counts:
+            counts[key] += 1
+            continue
+        counts[key] = 1
+        failing = _failing(evaluate_profile(n, *key), names)
         if failing and len(witnesses) < _WITNESS_CAP_PER_TASK:
             ideal = Ideal(n, tuple(Monomial(m) for m in masks))
-            for name in failing:
-                w = witness_from_ideal(ideal, name)
-                if w is not None:
-                    w["sample_index"] = i
-                    witnesses.append(w)
+            witnesses += _witnesses(ideal, failing, sample_index=i)
     return counts, witnesses, hi - lo
 
 
@@ -530,19 +452,56 @@ def _pool_map(workers: int, fn, tasks: list):
             pool.shutdown(cancel_futures=True)
 
 
-def _tally_profiles(n, profile_counts, names):
-    """Aggregate per-profile counts into per-checker tallies."""
+def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
+    """Run the plan's tasks and merge them: (profile counts, outcomes, witnesses, scanned).
+
+    Random mode stops after the task that brings the witness count to
+    ``max_witnesses`` (whole tasks only, so the scanned count stays
+    deterministic); ``outcomes`` is then empty.  Census tasks carry no
+    witnesses: exhaustive mode evaluates each merged profile once, returns
+    those outcomes, and materializes failing profiles until it holds
+    ``max_witnesses`` witnesses.
+    """
+    if plan.mode == "exhaustive":
+        num_parts = 8 * plan.workers if plan.workers > 1 else 1
+        task_fn, tasks = _census_task, [(plan.n, (num_parts, i)) for i in range(num_parts)]
+    else:
+        task_fn, tasks = _sample_task, [
+            (plan.n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count), tuple(names))
+            for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE)]
+    cap = float("inf") if max_witnesses is None else max_witnesses
+    counts: dict[tuple, int] = {}
+    witnesses: list[dict] = []
+    scanned = 0
+    with closing(_pool_map(plan.workers, task_fn, tasks)) as results:
+        for task_counts, task_witnesses, task_scanned in results:
+            for key, c in task_counts.items():
+                counts[key] = counts.get(key, 0) + c
+            witnesses += task_witnesses
+            scanned += task_scanned
+            if plan.mode == "random" and len(witnesses) >= cap:
+                break
+    outcomes: dict[tuple, tuple] = {}
+    if plan.mode == "exhaustive":
+        for key in counts:
+            outcome = outcomes[key] = evaluate_profile(plan.n, *key)
+            failing = _failing(outcome, names)
+            if failing and len(witnesses) < cap:
+                witnesses += _witnesses(find_ideal_with_alpha(plan.n, key[0]), failing)
+    return counts, outcomes, witnesses[:max_witnesses], scanned
+
+
+def _tally_profiles(n, profile_counts, outcomes, names):
+    """Aggregate per-profile counts into per-checker tallies; a profile
+    missing from ``outcomes`` is evaluated here."""
     tallies = {name: CheckerTally() for name in names}
     q_hist: dict[int, int] = {}
     gate_excluded = 0
-    failing_keys: list[tuple] = []
     for key, count in profile_counts.items():
-        outcome = evaluate_profile(n, *key)
+        outcome = outcomes.get(key) or evaluate_profile(n, *key)
         q_hist[outcome.q] = q_hist.get(outcome.q, 0) + count
         if outcome.principal or not outcome.in_m2:
             gate_excluded += count
-        if _failing(outcome, names):
-            failing_keys.append(key)
         for name in names:
             applicable, passed = outcome.flags[CHECK_ORDER.index(name)]
             if not applicable:
@@ -553,7 +512,7 @@ def _tally_profiles(n, profile_counts, names):
                 t.passed += count
             else:
                 t.failed += count
-    return tallies, q_hist, gate_excluded, failing_keys
+    return tallies, q_hist, gate_excluded
 
 
 def run_verification(plan: EnumerationPlan, check_names=VERIFY_CHECKS) -> VerifySummary:
@@ -566,27 +525,8 @@ def run_verification(plan: EnumerationPlan, check_names=VERIFY_CHECKS) -> Verify
         if name not in CHECK_ORDER:
             raise ValueError(f"unknown check {name!r}")
     start = time.monotonic()
-    if plan.mode == "exhaustive":
-        num_parts = 8 * plan.workers if plan.workers > 1 else 1
-        task_fn, tasks = _census_task, [(plan.n, (num_parts, i)) for i in range(num_parts)]
-    else:
-        task_fn, tasks = _sample_task, _sample_tasks(plan, check_names)
-    profile_counts: dict[tuple, int] = {}
-    witnesses: list[dict] = []
-    scanned = 0
-    for counts, task_witnesses, task_scanned in _pool_map(plan.workers, task_fn, tasks):
-        for key, c in counts.items():
-            profile_counts[key] = profile_counts.get(key, 0) + c
-        witnesses.extend(task_witnesses)
-        scanned += task_scanned
-    witnesses.sort(key=lambda w: w.get("sample_index", 0))
-    tallies, q_hist, gate_excluded, failing = _tally_profiles(
-        plan.n, profile_counts, check_names)
-    if plan.mode == "exhaustive":
-        for alpha, _ in failing:
-            ideal = find_ideal_with_alpha(plan.n, alpha)
-            witnesses += filter(None, (witness_from_ideal(ideal, name) for name in check_names))
-
+    counts, outcomes, witnesses, scanned = _scan(plan, check_names)
+    tallies, q_hist, gate_excluded = _tally_profiles(plan.n, counts, outcomes, check_names)
     return VerifySummary(
         n=plan.n,
         mode=plan.mode,
@@ -597,10 +537,15 @@ def run_verification(plan: EnumerationPlan, check_names=VERIFY_CHECKS) -> Verify
         workers=plan.workers,
         checks=tallies,
         witnesses=witnesses,
-        distinct_profiles=len(profile_counts),
+        distinct_profiles=len(counts),
         q_histogram=dict(sorted(q_hist.items())),
         lem_gate_excluded=gate_excluded,
     )
+
+
+def _search_status(mode: str, witnesses) -> str:
+    return ("witnesses-found" if witnesses else
+            "none-exhaustive" if mode == "exhaustive" else "inconclusive")
 
 
 def search_counterexample(plan: EnumerationPlan, predicate: str,
@@ -609,33 +554,17 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
 
     Random mode stops as soon as a task of samples has brought the count of
     verified witnesses to ``max_witnesses`` (the scanned count stays
-    deterministic: whole tasks only).  Every witness re-verifies through a
+    deterministic: whole tasks only); exhaustive mode materializes at most
+    ``max_witnesses`` failing profiles.  Every witness re-verifies through a
     fresh full evaluation before being reported.
     """
     if predicate not in CHECK_ORDER:
         raise ValueError(f"unknown predicate {predicate!r}")
     start = time.monotonic()
-
-    if plan.mode == "exhaustive":
-        summary = run_verification(plan, check_names=(predicate,))
-        status = "witnesses-found" if summary.witnesses else "none-exhaustive"
-        return SearchReport(predicate, (plan.n,), plan.mode, summary.scanned,
-                            summary.witnesses[:max_witnesses],
-                            time.monotonic() - start, plan.seed, status)
-
-    witnesses: list[dict] = []
-    scanned = 0
-    with closing(_pool_map(plan.workers, _sample_task,
-                           _sample_tasks(plan, (predicate,)))) as results:
-        for _, task_witnesses, task_scanned in results:
-            scanned += task_scanned
-            witnesses.extend(task_witnesses)
-            if len(witnesses) >= max_witnesses:
-                break
-    witnesses = sorted(witnesses, key=lambda w: w.get("sample_index", 0))[:max_witnesses]
-    status = "witnesses-found" if witnesses else "inconclusive"
+    _, _, witnesses, scanned = _scan(plan, (predicate,), max_witnesses)
     return SearchReport(predicate, (plan.n,), plan.mode, scanned, witnesses,
-                        time.monotonic() - start, plan.seed, status)
+                        time.monotonic() - start, plan.seed,
+                        _search_status(plan.mode, witnesses))
 
 
 def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
@@ -664,9 +593,8 @@ def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
         witnesses.extend(report.witnesses)
         if len(witnesses) >= max_witnesses:
             break
-    status = ("witnesses-found" if witnesses else
-              "none-exhaustive" if mode == "exhaustive" else "inconclusive")
     combined = SearchReport(predicate, tuple(n_values), mode,
                             sum(r.instances_scanned for r in per_n), witnesses,
-                            sum(r.elapsed for r in per_n), seed, status)
+                            sum(r.elapsed for r in per_n), seed,
+                            _search_status(mode, witnesses))
     return combined, per_n

@@ -77,6 +77,14 @@ def test_criterion_02_exhaustive_depth_comparison_n6(n6_summary):
           f"{s.elapsed:.1f}s with {s.workers} workers (< 600s)")
 
 
+def test_n6_census_profiles(n6_summary):
+    # the n = 6 census is the only one whose work chunks pin level-3 slots;
+    # its profile count and hdepth(S/I) histogram are pinned exactly
+    assert n6_summary.distinct_profiles == 551
+    assert n6_summary.q_histogram == {0: 1, 1: 3748, 2: 2719871, 3: 5038931,
+                                      4: 65738, 5: 63}
+
+
 def test_criterion_03_sampled_depth_comparison(sampled):
     details = []
     ok = True

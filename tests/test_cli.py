@@ -223,3 +223,19 @@ def test_max_witnesses_must_be_positive(capsys):
                   "--seed", "1", "--max-witnesses", bad])
         assert exc.value.code == 2
         assert "--max-witnesses" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--random", "-n", "9", "--format", "csv"],
+    ["search", "--predicate", "main", "-n", "7"],
+], ids=["verify-csv", "search"])
+@pytest.mark.parametrize("flag", ["--samples", "--workers"])
+def test_sample_and_worker_counts_must_be_positive(capsys, command, flag):
+    for bad in ("0", "-5"):
+        counts = {"--samples": "4000", "--workers": "1", flag: bad}
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--seed", "1"] + [a for kv in counts.items() for a in kv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
