@@ -13,8 +13,8 @@ from .combinatorics import (MacaulayRep, binom, binom_diff, kk_lower_bound,
 from .corpus import (EnumerationPlan, SearchReport, VerifySummary,
                      alpha_census, compressed_complex_ideal, enumerate_ideals,
                      random_ideal, run_verification, search_counterexample)
-from .depth import (BetaTable, HdepthReport, alpha_from_beta, beta_table,
-                    hdepth, hdepth_report)
+from .depth import (HdepthReport, alpha_from_beta, beta_values, hdepth,
+                    hdepth_report)
 from .errors import CapacityError, DomainError, ParseError
 from .ideals import (AlphaVector, Ideal, Monomial, alpha_of_ideal,
                      alpha_of_quotient, alpha_vector, parse_ideal)
@@ -24,11 +24,11 @@ from .theorems import (CHECKS, CheckOutcome, evaluate_profile,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaVector", "BetaTable", "CHECKS", "CapacityError", "CheckOutcome", "DomainError",
+    "AlphaVector", "CHECKS", "CapacityError", "CheckOutcome", "DomainError",
     "EnumerationPlan", "HdepthReport", "Ideal", "MacaulayRep", "Monomial",
     "ParseError", "SearchReport", "VerifySummary", "alpha_census",
     "alpha_from_beta", "alpha_of_ideal", "alpha_of_quotient", "alpha_vector",
-    "beta_table", "binom", "binom_diff",
+    "beta_values", "binom", "binom_diff",
     "compressed_complex_ideal", "enumerate_ideals", "evaluate_profile",
     "hdepth", "hdepth_report", "kk_lower_bound", "kk_upper_bound",
     "macaulay_rep", "parse_ideal", "random_ideal", "reproduce_bound_tables",

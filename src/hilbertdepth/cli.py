@@ -121,8 +121,8 @@ def _report_json(report: HdepthReport) -> dict:
         "hdepth_ideal": report.hdepth_ideal,
         "principal": report.principal,
         "in_m2": report.in_m2,
-        "beta_triangle_quotient": [_strs(t.values) for t in report.beta_triangle_quotient],
-        "beta_triangle_ideal": [_strs(t.values) for t in report.beta_triangle_ideal],
+        "beta_triangle_quotient": [_strs(row) for row in report.beta_triangle_quotient],
+        "beta_triangle_ideal": [_strs(row) for row in report.beta_triangle_ideal],
     }
 
 
@@ -137,11 +137,11 @@ def _report_text(report: HdepthReport) -> str:
         f"   contained in m^2: {'yes' if report.in_m2 else 'no'}",
         "beta tables for S/I:",
     ]
-    lines += [f"  d={t.q}: {' '.join(map(str, t.values))}"
-              for t in report.beta_triangle_quotient]
+    lines += [f"  d={d}: {' '.join(map(str, row))}"
+              for d, row in enumerate(report.beta_triangle_quotient)]
     lines.append("beta tables for I:")
-    lines += [f"  d={t.q}: {' '.join(map(str, t.values))}"
-              for t in report.beta_triangle_ideal]
+    lines += [f"  d={d}: {' '.join(map(str, row))}"
+              for d, row in enumerate(report.beta_triangle_ideal)]
     return "\n".join(lines) + "\n"
 
 
@@ -225,8 +225,8 @@ def _summary_text(summary: VerifySummary) -> str:
 
 
 def _verify_csv(n_values, mode, samples, seed, out_path):
-    """Flat per-ideal rows; materializes every ideal, so exhaustive mode is
-    intended for small n here."""
+    """Flat per-ideal rows, in one process; materializes every ideal, so
+    exhaustive mode is intended for small n here."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     nmax = max(n_values)
@@ -264,6 +264,8 @@ def cmd_verify(args) -> int:
     mode = _corpus_mode(args, "exhaustive")
 
     if args.format == "csv":
+        if args.workers != 1:
+            raise ValueError("--format csv runs in one process; --workers must be 1")
         return _verify_csv(n_values, mode, args.samples, args.seed, args.out)
 
     summaries = [run_verification(EnumerationPlan(

@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 
 from .combinatorics import N_MAX, complement_counts
 from .errors import CapacityError
@@ -276,16 +276,17 @@ def default_degree_weights(n: int) -> dict[int, float]:
     return w
 
 
-def random_gen_masks(n: int, rng: random.Random,
-                     degree_weights: dict[int, float] | None = None) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _degree_table(n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The generator degrees and their cumulative weights."""
+    weights = default_degree_weights(n)
+    degrees = tuple(sorted(weights))
+    return degrees, tuple(accumulate(weights[d] for d in degrees))
+
+
+def random_gen_masks(n: int, rng: random.Random) -> tuple[int, ...]:
     """Minimalized generator masks of one random ideal (always proper, nonzero)."""
-    weights = degree_weights or default_degree_weights(n)
-    degrees = sorted(weights)
-    cum = []
-    total = 0.0
-    for d in degrees:
-        total += weights[d]
-        cum.append(total)
+    degrees, cum = _degree_table(n)
     g = rng.randint(1, 3 * n)
     masks = []
     for _ in range(g):
@@ -297,18 +298,16 @@ def random_gen_masks(n: int, rng: random.Random,
     return minimalize(masks)
 
 
-def random_ideal(n: int, rng: random.Random,
-                 degree_weights: dict[int, float] | None = None) -> Ideal:
-    """One random proper nonzero ideal; deterministic given the rng state."""
+def random_ideal(n: int, rng: random.Random) -> Ideal:
+    """One random proper nonzero ideal; deterministic given the rng state.
+
+    It has at least one generator, and every generator has degree >= 1.
+    """
     if n < 2:
         raise ValueError("random_ideal needs n >= 2")
     if n > N_MAX:
         raise CapacityError(f"random_ideal: n={n} exceeds cap {N_MAX}")
-    while True:
-        masks = random_gen_masks(n, rng, degree_weights)
-        ideal = Ideal(n, tuple(Monomial(m) for m in masks))
-        if not ideal.is_zero and not ideal.is_unit:
-            return ideal
+    return Ideal(n, tuple(Monomial(m) for m in random_gen_masks(n, rng)))
 
 
 def sample_rng(seed: int, n: int, index: int) -> random.Random:
@@ -390,16 +389,16 @@ _SAMPLE_TASK_SIZE = 2000
 
 
 def _census_task(args):
-    """One slice of the alpha census, in the shape of a _sample_task result."""
+    """One slice of the alpha census, in the shape of a _sample_task result;
+    its profiles are evaluated once the slices are merged."""
     n, part = args
     census = alpha_census(n, part)
-    return {(alpha, None): c for alpha, c in census.items()}, [], sum(census.values())
+    return {(alpha, None): c for alpha, c in census.items()}, {}, [], sum(census.values())
 
 
 def _failing(outcome, names) -> tuple[str, ...]:
-    """The named checks that apply to a ProfileOutcome and fail on it."""
-    return tuple(name for name in names
-                 if outcome.flags[CHECK_ORDER.index(name)] == (True, False))
+    """The named checks whose verdict in a ProfileOutcome is a failure."""
+    return tuple(name for name in names if outcome.verdicts[CHECK_ORDER.index(name)])
 
 
 def _witnesses(ideal: Ideal, failing, **extra) -> list[dict]:
@@ -409,13 +408,16 @@ def _witnesses(ideal: Ideal, failing, **extra) -> list[dict]:
 
 
 def _sample_task(args):
-    """Scan sample indices [lo, hi): returns (profile counts, witnesses, scanned).
+    """Scan sample indices [lo, hi): returns (profile counts, profile outcomes,
+    witnesses, scanned).
 
-    Keys are (alpha(S/I), principal).  The first sample of each failing key
-    becomes a witness, until the task holds _WITNESS_CAP_PER_TASK of them.
+    Keys are (alpha(S/I), principal); each key is evaluated once.  The first
+    sample of each failing key becomes a witness, until the task holds
+    _WITNESS_CAP_PER_TASK of them.
     """
     n, seed, lo, hi, names = args
     counts: dict[tuple, int] = {}
+    outcomes: dict[tuple, tuple] = {}
     witnesses: list[dict] = []
     for i in range(lo, hi):
         masks = random_gen_masks(n, sample_rng(seed, n, i))
@@ -424,11 +426,12 @@ def _sample_task(args):
             counts[key] += 1
             continue
         counts[key] = 1
-        failing = _failing(evaluate_profile(n, *key), names)
+        outcome = outcomes[key] = evaluate_profile(n, *key)
+        failing = _failing(outcome, names)
         if failing and len(witnesses) < _WITNESS_CAP_PER_TASK:
             ideal = Ideal(n, tuple(Monomial(m) for m in masks))
             witnesses += _witnesses(ideal, failing, sample_index=i)
-    return counts, witnesses, hi - lo
+    return counts, outcomes, witnesses, hi - lo
 
 
 def _pool_map(workers: int, fn, tasks: list):
@@ -455,11 +458,12 @@ def _pool_map(workers: int, fn, tasks: list):
 def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
     """Run the plan's tasks and merge them: (profile counts, outcomes, witnesses, scanned).
 
-    Random mode stops after the task that brings the witness count to
-    ``max_witnesses`` (whole tasks only, so the scanned count stays
-    deterministic); ``outcomes`` is then empty.  Census tasks carry no
-    witnesses: exhaustive mode evaluates each merged profile once, returns
-    those outcomes, and materializes failing profiles until it holds
+    ``outcomes`` holds the ProfileOutcome of every key of the profile counts.
+    Sample tasks return the outcomes they computed; random mode stops after
+    the task that brings the witness count to ``max_witnesses`` (whole tasks
+    only, so the scanned count stays deterministic).  Census tasks carry
+    neither outcomes nor witnesses: exhaustive mode evaluates each merged
+    profile once and materializes failing profiles until it holds
     ``max_witnesses`` witnesses.
     """
     if plan.mode == "exhaustive":
@@ -471,17 +475,18 @@ def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
             for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE)]
     cap = float("inf") if max_witnesses is None else max_witnesses
     counts: dict[tuple, int] = {}
+    outcomes: dict[tuple, tuple] = {}
     witnesses: list[dict] = []
     scanned = 0
     with closing(_pool_map(plan.workers, task_fn, tasks)) as results:
-        for task_counts, task_witnesses, task_scanned in results:
+        for task_counts, task_outcomes, task_witnesses, task_scanned in results:
             for key, c in task_counts.items():
                 counts[key] = counts.get(key, 0) + c
+            outcomes.update(task_outcomes)
             witnesses += task_witnesses
             scanned += task_scanned
             if plan.mode == "random" and len(witnesses) >= cap:
                 break
-    outcomes: dict[tuple, tuple] = {}
     if plan.mode == "exhaustive":
         for key in counts:
             outcome = outcomes[key] = evaluate_profile(plan.n, *key)
@@ -491,42 +496,41 @@ def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
     return counts, outcomes, witnesses[:max_witnesses], scanned
 
 
-def _tally_profiles(n, profile_counts, outcomes, names):
-    """Aggregate per-profile counts into per-checker tallies; a profile
-    missing from ``outcomes`` is evaluated here."""
-    tallies = {name: CheckerTally() for name in names}
+def _tally_profiles(profile_counts, outcomes):
+    """Fold the profile counts and the outcomes of their keys (every key has
+    one) into the VERIFY_CHECKS tallies, the q histogram, and the count of
+    profiles outside the bound-equivalence gate, where that check's verdict
+    is None."""
+    tallies = {name: CheckerTally() for name in VERIFY_CHECKS}
     q_hist: dict[int, int] = {}
     gate_excluded = 0
     for key, count in profile_counts.items():
-        outcome = outcomes.get(key) or evaluate_profile(n, *key)
+        outcome = outcomes[key]
         q_hist[outcome.q] = q_hist.get(outcome.q, 0) + count
-        if outcome.principal or not outcome.in_m2:
+        verdicts = dict(zip(CHECK_ORDER, outcome.verdicts))
+        if verdicts["bound-equivalence"] is None:
             gate_excluded += count
-        for name in names:
-            applicable, passed = outcome.flags[CHECK_ORDER.index(name)]
-            if not applicable:
+        for name, t in tallies.items():
+            verdict = verdicts[name]
+            if verdict is None:
                 continue
-            t = tallies[name]
             t.applicable += count
-            if passed:
-                t.passed += count
-            else:
+            if verdict:
                 t.failed += count
+            else:
+                t.passed += count
     return tallies, q_hist, gate_excluded
 
 
-def run_verification(plan: EnumerationPlan, check_names=VERIFY_CHECKS) -> VerifySummary:
-    """Scan the planned corpus and tally every requested check.
+def run_verification(plan: EnumerationPlan) -> VerifySummary:
+    """Scan the planned corpus and tally every VERIFY_CHECKS check.
 
     Exhaustive mode aggregates the alpha census; random mode draws the seeded
     samples.  Failing profiles are materialized into re-verified witnesses.
     """
-    for name in check_names:
-        if name not in CHECK_ORDER:
-            raise ValueError(f"unknown check {name!r}")
     start = time.monotonic()
-    counts, outcomes, witnesses, scanned = _scan(plan, check_names)
-    tallies, q_hist, gate_excluded = _tally_profiles(plan.n, counts, outcomes, check_names)
+    counts, outcomes, witnesses, scanned = _scan(plan, VERIFY_CHECKS)
+    tallies, q_hist, gate_excluded = _tally_profiles(counts, outcomes)
     return VerifySummary(
         n=plan.n,
         mode=plan.mode,

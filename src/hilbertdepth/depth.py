@@ -1,19 +1,20 @@
-"""Beta tables, the Hilbert depth criterion, and the alpha<->beta inversion.
+"""Beta rows, the Hilbert depth criterion, and the alpha<->beta inversion.
 
 For a quotient with alpha vector (a_0, ..., a_n) and a level 0 <= q <= n, the
-beta table at q is
+beta row at q is the tuple (b_0, ..., b_q) with
 
     b_k = sum_{j=0}^{k} (-1)^(k-j) * C(q-j, k-j) * a_j,   k = 0..q,
 
 and the Hilbert depth is the largest d such that every entry of the beta
-table at d is nonnegative.  ``beta_rows`` builds each level from the one
+row at d is nonnegative.  ``beta_rows`` builds each level from the one
 below: b^d_k = b^(d-1)_k - b^(d-1)_(k-1) for 0 < k < d.  The transform
 inverts exactly:
 
     a_k = sum_{j=0}^{k} C(q-j, k-j) * b_j,   k = 0..q.
 
 All arithmetic is exact.  ``hdepth_report`` bundles both sides (S/I and I)
-for a proper nonzero ideal, materializing full beta triangles for debugging.
+for a proper nonzero ideal, materializing full beta triangles (the rows of
+every level) for debugging.
 """
 
 from __future__ import annotations
@@ -24,26 +25,6 @@ from itertools import islice
 from .combinatorics import _PASCAL
 from .errors import DomainError
 from .ideals import AlphaVector, Ideal, alpha_of_ideal, alpha_of_quotient
-
-
-@dataclass(frozen=True)
-class BetaTable:
-    """The integers (b_0, ..., b_q) at one level q."""
-
-    q: int
-    values: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-def _counts(alpha) -> tuple[int, ...]:
-    if isinstance(alpha, AlphaVector):
-        return alpha.counts
-    return tuple(alpha)
 
 
 def beta_rows(counts):
@@ -66,34 +47,29 @@ def beta_values(counts, q: int) -> tuple[int, ...]:
     return next(islice(beta_rows(counts), q, None))
 
 
-def beta_table(alpha, q: int) -> BetaTable:
-    """Beta table of an alpha vector at level q."""
-    return BetaTable(q, beta_values(_counts(alpha), q))
+def beta_triangle(counts) -> tuple[tuple[int, ...], ...]:
+    """The beta rows b^0, ..., b^n, one tuple per level."""
+    return tuple(beta_rows(counts))
 
 
-def beta_triangle(alpha) -> tuple[BetaTable, ...]:
-    """Beta tables for every level d = 0..n."""
-    return tuple(BetaTable(d, row) for d, row in enumerate(beta_rows(_counts(alpha))))
-
-
-def alpha_from_beta(table: BetaTable) -> tuple[int, ...]:
-    """Recover (a_0, ..., a_q) from a beta table; exact inverse of beta_values."""
-    q = table.q
+def alpha_from_beta(row) -> tuple[int, ...]:
+    """Recover (a_0, ..., a_q) from the beta row (b_0, ..., b_q); exact inverse
+    of beta_values."""
+    q = len(row) - 1
     return tuple(
-        sum(_PASCAL[q - j][k - j] * table.values[j] for j in range(k + 1))
+        sum(_PASCAL[q - j][k - j] * row[j] for j in range(k + 1))
         for k in range(q + 1)
     )
 
 
-def hdepth(alpha) -> int:
-    """The largest d in [0, n] whose beta table is entrywise nonnegative.
+def hdepth(counts) -> int:
+    """The largest d in [0, n] whose beta row is entrywise nonnegative.
 
     Walks the levels upward and stops at the first one with a negative entry:
     b^(d-1) is the running sum of b^d, so every level below an admissible one
     is admissible too.  Raises DomainError on the all-zero alpha vector: the
     zero module has no depth.
     """
-    counts = _counts(alpha)
     if not any(counts):
         raise DomainError("hdepth is undefined for the zero module (all-zero alpha)")
     d = -1
@@ -113,8 +89,8 @@ class HdepthReport:
     alpha_ideal: AlphaVector
     hdepth_quotient: int
     hdepth_ideal: int
-    beta_triangle_quotient: tuple[BetaTable, ...]
-    beta_triangle_ideal: tuple[BetaTable, ...]
+    beta_triangle_quotient: tuple[tuple[int, ...], ...]
+    beta_triangle_ideal: tuple[tuple[int, ...], ...]
     principal: bool
     in_m2: bool
 
@@ -138,10 +114,10 @@ def hdepth_report(I: Ideal) -> HdepthReport:
         ideal=I,
         alpha_quotient=a_q,
         alpha_ideal=a_i,
-        hdepth_quotient=hdepth(a_q),
-        hdepth_ideal=hdepth(a_i),
-        beta_triangle_quotient=beta_triangle(a_q),
-        beta_triangle_ideal=beta_triangle(a_i),
+        hdepth_quotient=hdepth(a_q.counts),
+        hdepth_ideal=hdepth(a_i.counts),
+        beta_triangle_quotient=beta_triangle(a_q.counts),
+        beta_triangle_ideal=beta_triangle(a_i.counts),
         principal=I.is_principal,
         in_m2=I.in_m2,
     )

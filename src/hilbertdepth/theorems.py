@@ -19,11 +19,13 @@ inequality when it fails.  With q = hdepth(S/I):
                                 verification suite: it is expected to fail
                                 somewhere.
 
-``CHECKS`` / ``run_checks`` apply the predicates to an HdepthReport and attach
-a witness dict to each failure.  ``evaluate_profile`` is the allocation-light
-path of the corpus harness: a Profile is a function of n and alpha(S/I) alone
-(principality included, via the profile of alpha(I)), so exhaustive runs are
-aggregated per distinct alpha vector.
+A verdict has that one encoding everywhere.  ``CHECKS`` / ``run_checks``
+apply the predicates to an HdepthReport and wrap each verdict in a
+CheckOutcome, with a witness dict when it fails.  ``evaluate_profile`` is the
+allocation-light path of the corpus harness: a Profile is a function of n and
+alpha(S/I) alone (principality included, via the profile of alpha(I)), so
+runs are aggregated per distinct alpha vector, and its ProfileOutcome carries
+every predicate's verdict, in CHECK_ORDER, to the harness's tally.
 
 ``reproduce_bound_tables`` regenerates the auxiliary difference tables
 x -> C(x,k) - c*C(x,k-1) that the level-6/level-7 bound derivations tabulate,
@@ -135,16 +137,25 @@ def principal_alpha_profile(n: int, alpha_ideal) -> bool:
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """One predicate's verdict on one report, and its witness when it fails."""
+
     name: str
-    applicable: bool
-    passed: bool
+    verdict: str | None
     witness: dict | None = None
+
+    @property
+    def applicable(self) -> bool:
+        return self.verdict is not None
+
+    @property
+    def passed(self) -> bool:
+        return not self.verdict
 
 
 def _report_profile(report: HdepthReport) -> Profile:
     q = report.hdepth_quotient
     return Profile(report.n, q, report.hdepth_ideal, report.principal, report.in_m2,
-                   report.beta_triangle_quotient[q].values)
+                   report.beta_triangle_quotient[q])
 
 
 def _witness(report: HdepthReport, name: str, violated: str) -> dict:
@@ -165,14 +176,14 @@ def _witness(report: HdepthReport, name: str, violated: str) -> dict:
 
 
 def _outcome(report: HdepthReport, profile: Profile, name: str) -> CheckOutcome:
-    violated = PREDICATES[name](profile)
-    return CheckOutcome(name, violated is not None, not violated,
-                        _witness(report, name, violated) if violated else None)
+    verdict = PREDICATES[name](profile)
+    return CheckOutcome(name, verdict, _witness(report, name, verdict) if verdict else None)
 
 
-def run_checks(report: HdepthReport, names=VERIFY_CHECKS) -> list[CheckOutcome]:
+def run_checks(report: HdepthReport) -> list[CheckOutcome]:
+    """The outcomes of the VERIFY_CHECKS on one report, in that order."""
     profile = _report_profile(report)
-    return [_outcome(report, profile, name) for name in names]
+    return [_outcome(report, profile, name) for name in VERIFY_CHECKS]
 
 
 # CHECKS[name](report) -> CheckOutcome, with a witness dict when it fails
@@ -193,8 +204,7 @@ class ProfileOutcome(NamedTuple):
     h_ideal: int
     principal: bool
     in_m2: bool
-    # (applicable, passed) per CHECK_ORDER entry
-    flags: tuple[tuple[bool, bool], ...]
+    verdicts: tuple[str | None, ...]  # one per CHECK_ORDER entry
 
 
 def evaluate_profile(n: int, alpha_sf, principal: bool | None = None) -> ProfileOutcome:
@@ -211,9 +221,8 @@ def evaluate_profile(n: int, alpha_sf, principal: bool | None = None) -> Profile
         principal = principal_alpha_profile(n, alpha_i)
     in_m2 = alpha_sf[0] == 1 and alpha_sf[1] == n
     profile = Profile(n, q, h_ideal, principal, in_m2, beta_values(alpha_sf, q))
-    verdicts = [check(profile) for check in PREDICATES.values()]
     return ProfileOutcome(q, h_ideal, principal, in_m2,
-                          tuple((v is not None, not v) for v in verdicts))
+                          tuple(check(profile) for check in PREDICATES.values()))
 
 
 # --- published difference tables ----------------------------------------------

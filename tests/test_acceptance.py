@@ -15,7 +15,7 @@ from hilbertdepth.combinatorics import binom_diff, kk_lower_bound, kk_upper_boun
 from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  alpha_census, run_verification,
                                  search_n_range)
-from hilbertdepth.depth import alpha_from_beta, beta_table, hdepth_report
+from hilbertdepth.depth import alpha_from_beta, beta_values, hdepth_report
 from hilbertdepth.ideals import parse_ideal
 from hilbertdepth.theorems import CHECKS, reproduce_bound_tables
 
@@ -162,7 +162,7 @@ def test_criterion_09_inversion_fuzz():
         row = [comb(n, j) for j in range(n + 1)]
         a = tuple(rng.randint(0, row[j]) for j in range(n + 1))
         q = rng.randint(0, n)
-        if alpha_from_beta(beta_table(a, q)) != a[: q + 1]:
+        if alpha_from_beta(beta_values(a, q)) != a[: q + 1]:
             bad += 1
     _line(9, bad == 0, f"alpha->beta->alpha identity exact on 10000 fuzzed vectors "
                        f"({bad} mismatches)")

@@ -239,3 +239,13 @@ def test_sample_and_worker_counts_must_be_positive(capsys, command, flag):
         captured = capsys.readouterr()
         assert flag in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("corpus", [["--random", "--samples", "10", "--seed", "1"],
+                                    ["--exhaustive"]], ids=["random", "exhaustive"])
+def test_csv_verify_rejects_more_than_one_worker(capsys, corpus):
+    # the CSV report runs in one process, so asking for workers is an error
+    assert main(["verify", "-n", "3", "--format", "csv", "--workers", "2"] + corpus) == 2
+    captured = capsys.readouterr()
+    assert "--workers" in captured.err
+    assert captured.out == ""

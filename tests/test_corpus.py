@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from hilbertdepth import corpus
 from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  alpha_census, compressed_complex_ideal,
                                  default_degree_weights,
@@ -109,8 +110,21 @@ def test_census_matches_materialized_alpha():
 
 
 def test_downsets_are_closed_families():
-    for leaf in enumerate_downsets(3):
-        assert len(leaf) == 3
+    # read each leaf through its own table of the degree-d masks (ascending),
+    # not through the walker's facet tables
+    for n in range(1, 5):
+        level_masks = [[m for m in range(1, 1 << n) if bin(m).count("1") == d]
+                       for d in range(n + 1)]
+        families = set()
+        for leaf in enumerate_downsets(n):
+            assert len(leaf) == n and leaf[n - 1] == 0  # level n is empty
+            faces = {0} | {m for d in range(1, n + 1)
+                           for i, m in enumerate(level_masks[d]) if leaf[d - 1] >> i & 1}
+            for m in faces:
+                # downward closed: every facet of a selected face is selected
+                assert all(m ^ (1 << b) in faces for b in range(n) if m >> b & 1), (n, leaf)
+            families.add(frozenset(faces))
+        assert len(families) == PROPER_IDEAL_COUNTS[n]
 
 
 # --- random generation -------------------------------------------------------
@@ -224,6 +238,26 @@ def test_run_verification_exhaustive_worker_invariance():
     multi = run_verification(EnumerationPlan(n=5, mode="exhaustive", workers=2))
     assert {k: vars(v) for k, v in base.checks.items()} == \
            {k: vars(v) for k, v in multi.checks.items()}
+
+
+def test_each_profile_evaluated_once(monkeypatch):
+    calls = []
+    real = corpus.evaluate_profile
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(corpus, "evaluate_profile", counting)
+    # one 2,000-sample task: its outcomes reach the tally without a re-evaluation
+    sampled = run_verification(EnumerationPlan(n=7, mode="random", sample_count=2000, seed=5))
+    assert len(calls) == sampled.distinct_profiles
+    calls.clear()
+    census = run_verification(EnumerationPlan(n=4, mode="exhaustive"))
+    assert len(calls) == census.distinct_profiles == 24
+    for summary in (sampled, census):
+        assert summary.lem_gate_excluded == (
+            summary.scanned - summary.checks["bound-equivalence"].applicable)
 
 
 def test_search_exhaustive_clean():

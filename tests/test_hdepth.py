@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from hilbertdepth.combinatorics import binom, binom_row
 from hilbertdepth.corpus import enumerate_ideals
-from hilbertdepth.depth import (BetaTable, alpha_from_beta, beta_table,
-                                beta_triangle, beta_values, hdepth,
-                                hdepth_report)
+from hilbertdepth.depth import (alpha_from_beta, beta_triangle, beta_values,
+                                hdepth, hdepth_report)
 from hilbertdepth.errors import DomainError
 from hilbertdepth.ideals import parse_ideal
 from hilbertdepth.theorems import principal_alpha_profile
@@ -20,8 +19,8 @@ from hilbertdepth.theorems import principal_alpha_profile
 
 def test_beta_examples_level7():
     a = (1, 9, 0, 0, 0, 0, 0, 0, 0, 0)
-    bt = beta_table(a, 7)
-    assert bt[0] == 1 and bt[1] == 2
+    row = beta_values(a, 7)
+    assert row[0] == 1 and row[1] == 2
     for a2 in range(0, 37):
         counts = (1, 9, a2) + (0,) * 7
         assert beta_values(counts, 7)[2] == a2 - 33
@@ -36,8 +35,7 @@ def test_beta_level_zero_and_range():
 
 
 def test_alpha_from_beta_level7_spot_values():
-    b = BetaTable(7, (1, 2, 0, 0, 0, 0, 0, 0))
-    alpha = alpha_from_beta(b)
+    alpha = alpha_from_beta((1, 2, 0, 0, 0, 0, 0, 0))
     assert alpha == (1, 9, 33, 65, 75, 51, 19, 3)
 
 
@@ -52,7 +50,7 @@ def test_inversion_round_trip_seeded():
         n = rng.randint(1, 12)
         a = random_alpha(rng, n)
         for q in range(n + 1):
-            assert alpha_from_beta(beta_table(a, q)) == a[: q + 1]
+            assert alpha_from_beta(beta_values(a, q)) == a[: q + 1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,7 +60,7 @@ def test_inversion_round_trip_fuzz(data):
     row = binom_row(n)
     a = tuple(data.draw(st.integers(min_value=0, max_value=row[j])) for j in range(n + 1))
     q = data.draw(st.integers(min_value=0, max_value=n))
-    assert alpha_from_beta(beta_table(a, q)) == a[: q + 1]
+    assert alpha_from_beta(beta_values(a, q)) == a[: q + 1]
 
 
 def test_hdepth_examples():
@@ -108,7 +106,7 @@ def test_beta_rows_match_closed_form_seeded():
         a = tuple(rng.randint(0, comb(n, j)) for j in range(n + 1))
         for vec in (a, tuple(comb(n, j) - a[j] for j in range(n + 1))):
             closed = [closed_form_beta(vec, d) for d in range(n + 1)]
-            assert [t.values for t in beta_triangle(vec)] == closed
+            assert list(beta_triangle(vec)) == closed
             q = rng.randint(0, n)
             assert beta_values(vec, q) == closed[q]
             if any(vec):
@@ -128,7 +126,7 @@ def test_hdepth_report_examples():
     assert (r.hdepth_quotient, r.hdepth_ideal, r.principal) == (2, 3, True)
     r = hdepth_report(parse_ideal("x1*x2", 2))
     assert (r.hdepth_quotient, r.hdepth_ideal) == (1, 2)
-    assert r.beta_triangle_quotient[2].values == (1, 0, -1)
+    assert r.beta_triangle_quotient[2] == (1, 0, -1)
     r = hdepth_report(parse_ideal("x1, x2, x3", 3))
     assert (r.hdepth_quotient, r.hdepth_ideal) == (0, 2)
     assert r.in_m2 is False
@@ -162,9 +160,9 @@ def test_principal_equivalences_exhaustive():
 def test_beta_triangle_in_report():
     r = hdepth_report(parse_ideal("x1*x2, x2*x3", 3))
     assert len(r.beta_triangle_quotient) == 4
-    for d, table in enumerate(r.beta_triangle_quotient):
-        assert table.q == d
-        assert table.values == beta_values(tuple(r.alpha_quotient), d)
+    for d, row in enumerate(r.beta_triangle_quotient):
+        assert type(row) is tuple and len(row) == d + 1
+        assert row == beta_values(tuple(r.alpha_quotient), d)
 
 
 def test_report_is_frozen():

@@ -104,7 +104,11 @@ def test_alpha_examples():
     I = parse_ideal("x1*x2", 2)
     assert tuple(alpha_of_quotient(I)) == (1, 2, 0)
     for i in range(50):
-        J = random_ideal(9, sample_rng(5, 9, i), {d: 1.0 for d in range(2, 8)})
+        # generators of degree 2..7 only, so every ideal lies inside m^2
+        rng = sample_rng(5, 9, i)
+        masks = [sum(1 << v for v in rng.sample(range(9), rng.randint(2, 7)))
+                 for _ in range(rng.randint(1, 27))]
+        J = Ideal.from_masks(9, masks)
         assert J.in_m2
         a = alpha_of_quotient(J)
         assert a[0] == 1 and a[1] == 9

@@ -16,9 +16,9 @@ def _always_failing(name):
     pos = CHECK_ORDER.index(name)
 
     def evaluate(n, alpha_sf, principal=None):
-        flags = [(False, True)] * len(CHECK_ORDER)
-        flags[pos] = (True, False)
-        return ProfileOutcome(0, 0, bool(principal), True, tuple(flags))
+        verdicts = [None] * len(CHECK_ORDER)
+        verdicts[pos] = "injected"
+        return ProfileOutcome(0, 0, bool(principal), True, tuple(verdicts))
 
     return evaluate
 

@@ -74,7 +74,7 @@ def test_lemma79_gating_and_constructed_instance():
     assert tuple(alpha_of_quotient(ideal)) == alpha
     r = hdepth_report(ideal)
     assert r.hdepth_quotient == 7
-    assert r.beta_triangle_quotient[7].values == (1, 2, 0, 0, 0, 0, 0, 0)
+    assert r.beta_triangle_quotient[7] == (1, 2, 0, 0, 0, 0, 0, 0)
     out = CHECKS["lemma79"](r)
     assert out.applicable and out.passed
 
@@ -117,9 +117,8 @@ def test_evaluate_profile_matches_rich_checkers_exhaustive():
         assert profile.h_ideal == r.hdepth_ideal
         assert profile.principal == r.principal
         assert profile.in_m2 == r.in_m2
-        for name, flags in zip(CHECK_ORDER, profile.flags):
-            outcome = CHECKS[name](r)
-            assert flags == (outcome.applicable, outcome.passed), (name, ideal)
+        for name, verdict in zip(CHECK_ORDER, profile.verdicts):
+            assert verdict == CHECKS[name](r).verdict, (name, ideal)
 
 
 def test_n9_q6_counterexample_pinned():
