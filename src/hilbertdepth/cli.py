@@ -171,6 +171,8 @@ def cmd_compute(args) -> int:
             text = fh.read()
     if text is None:
         raise ValueError("compute needs generator text or --file")
+    if args.n is None:
+        raise ValueError("compute needs -n, the number of variables")
     report = hdepth_report(parse_ideal(text, args.n))
     if args.format == "json":
         config = {"n": args.n, "ideal": text.strip()}
@@ -262,15 +264,16 @@ def cmd_verify(args) -> int:
 
     n_values = _n_values(args)
     mode = _corpus_mode(args, "exhaustive")
+    # every n is checked before any scan starts
+    plans = [EnumerationPlan(n=n, mode=mode, sample_count=args.samples or 0, seed=args.seed,
+                             workers=args.workers) for n in n_values]
 
     if args.format == "csv":
         if args.workers != 1:
             raise ValueError("--format csv runs in one process; --workers must be 1")
         return _verify_csv(n_values, mode, args.samples, args.seed, args.out)
 
-    summaries = [run_verification(EnumerationPlan(
-        n=n, mode=mode, sample_count=args.samples or 0, seed=args.seed, workers=args.workers))
-        for n in n_values]
+    summaries = [run_verification(plan) for plan in plans]
     total_failures = sum(s.total_failures for s in summaries)
 
     if args.format == "json":
@@ -349,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
             corpus.add_argument("--random", action="store_true")
             p.add_argument("--samples", type=_positive_int, default=None)
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--workers", type=_positive_int, default=1)
+            p.add_argument("--workers", type=_positive_int, default=1,
+                           help="processes for a random corpus (exhaustive runs use one)")
 
     p_compute = sub.add_parser("compute", help="report for one ideal")
     common(p_compute, with_corpus=False)

@@ -13,10 +13,10 @@ is excluded, so every walk stops at level n - 1.
 The verification harness aggregates per distinct alpha vector: every check it
 runs is a function of (n, alpha(S/I)) alone, so exhaustive runs tally an
 "alpha census" instead of materializing 7.8M ideal objects, and a random
-run's tasks evaluate each profile once.  Partitioning is the census's concern:
-``alpha_census`` splits its walk into work chunks by fixing the selection of
-the first levels (the chunk key), which preserves the census for any worker
-count; the enumeration is not partitioned.
+run's tasks evaluate each profile once.  ``alpha_census`` counts the levels
+above each level once per distinct set of faces the lower levels allow (a
+memo), in one process; only random runs are split into tasks for the worker
+pool.
 
 Random generation draws a generator count uniform in [1, 3n] and generator
 degrees from a distribution weighted toward [2, n-2], then minimalizes.
@@ -34,6 +34,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
+from math import comb
 
 from .combinatorics import N_MAX, complement_counts
 from .errors import CapacityError
@@ -50,6 +51,11 @@ PROPER_IDEAL_COUNTS = {1: 1, 2: 4, 3: 18, 4: 166, 5: 7579, 6: 7828352}
 
 
 # --- level tables -------------------------------------------------------------
+
+# ``_allowed`` reads a level selection in slices of this many bits
+_SLICE_BITS = 10
+_SLICE_MASK = (1 << _SLICE_BITS) - 1
+
 
 class _Levels:
     """Per-n tables for walking downsets level by level.
@@ -84,14 +90,26 @@ def _levels(n: int) -> _Levels:
     return _Levels(n)
 
 
-def _allowed(lv: _Levels, d: int, prev_bits: int) -> int:
-    """Level-d sets whose facets all lie in the level-(d-1) selection."""
-    if prev_bits == lv.full[d - 1]:
-        return lv.full[d]
-    allowed = 0
-    for i, req in enumerate(lv.facet_bits[d]):
-        if req & ~prev_bits == 0:
-            allowed |= 1 << i
+@lru_cache(maxsize=None)
+def _slice_tables(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """One table per _SLICE_BITS-bit slice of a level-(d-1) selection: entry v
+    holds the level-d sets whose facets inside that slice all lie in v."""
+    lv = _levels(n)
+    size = len(lv.masks[d - 1])
+    tables = []
+    for lo in range(0, size, _SLICE_BITS):
+        reqs = [req >> lo & _SLICE_MASK for req in lv.facet_bits[d]]
+        tables.append(tuple(sum(1 << i for i, req in enumerate(reqs) if req & ~v == 0)
+                            for v in range(1 << min(_SLICE_BITS, size - lo))))
+    return tuple(tables)
+
+
+def _allowed(lv: _Levels, d: int, prev: int) -> int:
+    """Level-d sets whose facets all lie in the level-(d-1) selection ``prev``."""
+    allowed = lv.full[d]
+    for table in _slice_tables(lv.n, d):
+        allowed &= table[prev & _SLICE_MASK]
+        prev >>= _SLICE_BITS
     return allowed
 
 
@@ -103,37 +121,29 @@ def _check_exhaustive_n(n: int):
             f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_N_MAX}, got {n}")
 
 
-def _selections(lv: _Levels, top: int):
-    """Every valid selection of levels 1..top, in DFS order (each level's
-    subsets in descending bitmask order)."""
-    acc: list[int] = []
+def enumerate_downsets(n: int):
+    """Yield every proper-nonzero-ideal downset as per-level index bitmasks.
 
-    def rec(d: int, prev: int):
-        if d > top:
-            yield tuple(acc)
+    Levels 1..n-1 are walked depth first, each level's subsets in descending
+    bitmask order.  Level n is not walked: its one face lies only in the full
+    downset (I = 0), which is excluded, so every leaf ends in an empty level n.
+    """
+    _check_exhaustive_n(n)
+    lv = _levels(n)
+
+    def rec(d: int, prefix: tuple[int, ...]):
+        if d == n:
+            yield prefix + (0,)
             return
-        allowed = _allowed(lv, d, prev)
+        allowed = _allowed(lv, d, prefix[-1] if prefix else 0)
         s = allowed
         while True:
-            acc.append(s)
-            yield from rec(d + 1, s)
-            acc.pop()
+            yield from rec(d + 1, prefix + (s,))
             if s == 0:
                 return
             s = (s - 1) & allowed
 
-    return rec(1, 0)
-
-
-def enumerate_downsets(n: int):
-    """Yield every proper-nonzero-ideal downset as per-level index bitmasks.
-
-    Level n is not walked: its one face lies only in the full downset
-    (I = 0), which is excluded, so every leaf ends in an empty level n.
-    """
-    _check_exhaustive_n(n)
-    for selection in _selections(_levels(n), n - 1):
-        yield selection + (0,)
+    yield from rec(1, ())
 
 
 def _gens_from_levels(lv: _Levels, leaf: tuple[int, ...]) -> list[int]:
@@ -153,89 +163,45 @@ def enumerate_ideals(n: int):
         yield Ideal(n, tuple(Monomial(m) for m in _gens_from_levels(lv, leaf)))
 
 
-# The census is cut into work chunks.  A chunk fixes the selection of levels
-# 1..min(2, n-1) and, below heavy selections, additionally pins the membership
-# pattern of a few slots of the next level, so that no chunk dominates the
-# walk.  Chunks partition the downsets exactly.
-_SPLIT_FREE_BITS = 12
-_SPLIT_MAX_FIXED = 6
-
-
-@lru_cache(maxsize=8)
-def _chunk_specs(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    lv = _levels(n)
-    top = min(2, n - 1)
-    chunks: list[tuple[tuple[int, ...], int, int]] = []
-    for prefix in _selections(lv, top):
-        allowed = _allowed(lv, top + 1, prefix[-1]) if top < n - 1 else 0
-        t = min(max(allowed.bit_count() - _SPLIT_FREE_BITS, 0), _SPLIT_MAX_FIXED)
-        fix = 0
-        rest = allowed
-        for _ in range(t):
-            low = rest & -rest
-            fix |= low
-            rest ^= low
-        pattern = fix
-        while True:
-            chunks.append((prefix, fix, pattern))
-            if pattern == 0:
-                break
-            pattern = (pattern - 1) & fix
-    return tuple(chunks)
-
-
-def alpha_census(n: int, part: tuple[int, int] | None = None) -> Counter:
-    """Counter of alpha(S/I) over every proper nonzero ideal (one DFS pass).
+def alpha_census(n: int) -> Counter:
+    """Counter of alpha(S/I) over every proper nonzero ideal.
 
     Keys are the full tuples (1, a_1, ..., a_n); the downset at level d has
     a_d faces, and a_n is always 0 (level n is not walked, as in
-    ``enumerate_downsets``).  Much faster than materializing ideals: the
-    per-leaf work is a popcount.  ``part = (num_parts, idx)`` restricts the
-    walk to one slice of the work chunks; the union over all idx reproduces
-    the whole census exactly.
+    ``enumerate_downsets``).  Levels d..n-1 depend on the levels below only
+    through the level-d sets they allow, so ``suffix(d, allowed)`` counts the
+    selections of levels d..n-1 by their tail (a_d, ..., a_{n-1}) once per
+    distinct ``allowed`` mask: C(m, k) subsets of size k at level n-1, and
+    below it the subsets grouped by (size, next allowed mask) before their
+    memoized tails are merged.
     """
     _check_exhaustive_n(n)
-    chunks = _chunk_specs(n)
-    if part is not None:
-        num_parts, idx = part
-        if num_parts < 1 or not 0 <= idx < num_parts:
-            raise ValueError(f"bad partition {part}")
-        chunks = chunks[idx::num_parts]
     lv = _levels(n)
-    counts: dict[tuple[int, ...], int] = {}
-    full_masks = lv.full
-    facet_bits = lv.facet_bits
-    last = n - 1
 
-    def rec(d: int, allowed: int, pattern: int, key: tuple[int, ...]):
-        # the level-d selections are s | pattern for every subset s of allowed
+    @lru_cache(maxsize=None)
+    def suffix(d: int, allowed: int) -> dict[tuple[int, ...], int]:
+        if d == n:  # n = 1: there is no level to select
+            return {(): 1}
+        if d == n - 1:
+            m = allowed.bit_count()
+            return {(k,): comb(m, k) for k in range(m + 1)}
+        groups: dict[tuple[int, int], int] = {}
         s = allowed
         while True:
-            sel = s | pattern
-            if d == last:
-                leaf = key + (sel.bit_count(), 0)
-                counts[leaf] = counts.get(leaf, 0) + 1
-            else:
-                if sel == full_masks[d]:
-                    nxt = full_masks[d + 1]
-                else:
-                    nxt = 0
-                    for i, req in enumerate(facet_bits[d + 1]):
-                        if req & ~sel == 0:
-                            nxt |= 1 << i
-                rec(d + 1, nxt, 0, key + (sel.bit_count(),))
+            group = (s.bit_count(), _allowed(lv, d + 1, s))
+            groups[group] = groups.get(group, 0) + 1
             if s == 0:
-                return
+                break
             s = (s - 1) & allowed
+        tails: dict[tuple[int, ...], int] = {}
+        for (k, nxt), c in groups.items():
+            for tail, count in suffix(d + 1, nxt).items():
+                key = (k,) + tail
+                tails[key] = tails.get(key, 0) + c * count
+        return tails
 
-    for prefix, fix, pattern in chunks:
-        key = (1,) + tuple(s.bit_count() for s in prefix)
-        d = len(prefix) + 1
-        if d > last:
-            counts[key + (0,)] = counts.get(key + (0,), 0) + 1
-        else:
-            rec(d, _allowed(lv, d, prefix[-1]) & ~fix, pattern, key)
-    return Counter(counts)
+    return Counter({(1,) + tail + (0,): count
+                    for tail, count in suffix(1, _allowed(lv, 1, 0)).items()})
 
 
 # --- compressed complexes -------------------------------------------------------
@@ -388,14 +354,6 @@ _WITNESS_CAP_PER_TASK = 25
 _SAMPLE_TASK_SIZE = 2000
 
 
-def _census_task(args):
-    """One slice of the alpha census, in the shape of a _sample_task result;
-    its profiles are evaluated once the slices are merged."""
-    n, part = args
-    census = alpha_census(n, part)
-    return {(alpha, None): c for alpha, c in census.items()}, {}, [], sum(census.values())
-
-
 def _failing(outcome, names) -> tuple[str, ...]:
     """The named checks whose verdict in a ProfileOutcome is a failure."""
     return tuple(name for name in names if outcome.verdicts[CHECK_ORDER.index(name)])
@@ -456,43 +414,42 @@ def _pool_map(workers: int, fn, tasks: list):
 
 
 def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
-    """Run the plan's tasks and merge them: (profile counts, outcomes, witnesses, scanned).
+    """Scan the plan's corpus: (profile counts, outcomes, witnesses, scanned).
 
     ``outcomes`` holds the ProfileOutcome of every key of the profile counts.
-    Sample tasks return the outcomes they computed; random mode stops after
-    the task that brings the witness count to ``max_witnesses`` (whole tasks
-    only, so the scanned count stays deterministic).  Census tasks carry
-    neither outcomes nor witnesses: exhaustive mode evaluates each merged
-    profile once and materializes failing profiles until it holds
-    ``max_witnesses`` witnesses.
+    Exhaustive mode runs the alpha census in this process, evaluates each of
+    its profiles once and materializes failing profiles until it holds
+    ``max_witnesses`` witnesses.  Random mode runs the sample tasks through
+    the pool, merges the outcomes they computed, and stops after the task
+    that brings the witness count to ``max_witnesses`` (whole tasks only, so
+    the scanned count stays deterministic).
     """
-    if plan.mode == "exhaustive":
-        num_parts = 8 * plan.workers if plan.workers > 1 else 1
-        task_fn, tasks = _census_task, [(plan.n, (num_parts, i)) for i in range(num_parts)]
-    else:
-        task_fn, tasks = _sample_task, [
-            (plan.n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count), tuple(names))
-            for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE)]
     cap = float("inf") if max_witnesses is None else max_witnesses
     counts: dict[tuple, int] = {}
     outcomes: dict[tuple, tuple] = {}
     witnesses: list[dict] = []
     scanned = 0
-    with closing(_pool_map(plan.workers, task_fn, tasks)) as results:
-        for task_counts, task_outcomes, task_witnesses, task_scanned in results:
-            for key, c in task_counts.items():
-                counts[key] = counts.get(key, 0) + c
-            outcomes.update(task_outcomes)
-            witnesses += task_witnesses
-            scanned += task_scanned
-            if plan.mode == "random" and len(witnesses) >= cap:
-                break
     if plan.mode == "exhaustive":
-        for key in counts:
+        for alpha, c in alpha_census(plan.n).items():
+            key = (alpha, None)
+            counts[key] = c
+            scanned += c
             outcome = outcomes[key] = evaluate_profile(plan.n, *key)
             failing = _failing(outcome, names)
             if failing and len(witnesses) < cap:
-                witnesses += _witnesses(find_ideal_with_alpha(plan.n, key[0]), failing)
+                witnesses += _witnesses(find_ideal_with_alpha(plan.n, alpha), failing)
+    else:
+        tasks = [(plan.n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count),
+                  tuple(names)) for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE)]
+        with closing(_pool_map(plan.workers, _sample_task, tasks)) as results:
+            for task_counts, task_outcomes, task_witnesses, task_scanned in results:
+                for key, c in task_counts.items():
+                    counts[key] = counts.get(key, 0) + c
+                outcomes.update(task_outcomes)
+                witnesses += task_witnesses
+                scanned += task_scanned
+                if len(witnesses) >= cap:
+                    break
     return counts, outcomes, witnesses[:max_witnesses], scanned
 
 
@@ -580,18 +537,17 @@ def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
     ones take the remainder; an n whose share is 0 is skipped).  The search
     stops at the first n that brings the witness count to ``max_witnesses``.
     """
+    # every plan is built, and so every n checked, before the first scan
+    if mode == "random":
+        share, extra = divmod(sample_count, len(n_values))
+        counts = [share + (1 if i < extra else 0) for i in range(len(n_values))]
+        plans = [EnumerationPlan(n=n, mode=mode, sample_count=c, seed=seed, workers=workers)
+                 for n, c in zip(n_values, counts) if c]
+    else:
+        plans = [EnumerationPlan(n=n, mode=mode, workers=workers) for n in n_values]
     per_n: list[SearchReport] = []
     witnesses: list[dict] = []
-    share, extra = divmod(sample_count, len(n_values))
-    for i, n in enumerate(n_values):
-        if mode == "random":
-            count = share + (1 if i < extra else 0)
-            if count == 0:
-                continue
-            plan = EnumerationPlan(n=n, mode=mode, sample_count=count, seed=seed,
-                                   workers=workers)
-        else:
-            plan = EnumerationPlan(n=n, mode=mode, workers=workers)
+    for plan in plans:
         report = search_counterexample(plan, predicate, max_witnesses - len(witnesses))
         per_n.append(report)
         witnesses.extend(report.witnesses)

@@ -64,6 +64,13 @@ def test_compute_file_input(tmp_path, capsys):
     assert "hdepth(S/I) = 1" in out
 
 
+def test_compute_needs_n(capsys):
+    code, out, err = run_cli(capsys, "compute", "x1*x2")
+    assert code == 2
+    assert "-n" in err
+    assert out == ""
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run_cli(capsys, "compute", "-n", "3", "x1*x1")
     assert code == 2
@@ -249,3 +256,26 @@ def test_csv_verify_rejects_more_than_one_worker(capsys, corpus):
     captured = capsys.readouterr()
     assert "--workers" in captured.err
     assert captured.out == ""
+
+
+def test_multi_n_commands_check_every_n_before_scanning(capsys, monkeypatch):
+    # n = 7 is beyond the exhaustive ceiling, so no n of the range may be
+    # scanned; a scan entry point records its call and stops there
+    calls = []
+
+    def refused(name):
+        def scan(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called before every n was checked")
+        return scan
+
+    for target in ("hilbertdepth.cli.run_verification", "hilbertdepth.cli.enumerate_ideals",
+                   "hilbertdepth.corpus.search_counterexample"):
+        monkeypatch.setattr(target, refused(target))
+    for argv in (["verify", "--exhaustive", "--n-range", "5..7"],
+                 ["verify", "--exhaustive", "--n-range", "5..7", "--format", "csv"],
+                 ["search", "--predicate", "main", "--exhaustive", "--n-range", "5..7"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4, argv
+        assert out == "" and "capacity error" in err
+    assert calls == []
