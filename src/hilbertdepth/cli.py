@@ -26,6 +26,7 @@ import json
 import platform
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict
 
 from .corpus import (EnumerationPlan, SearchReport, VerifySummary,
@@ -227,23 +228,23 @@ def _summary_text(summary: VerifySummary) -> str:
 
 
 def _verify_csv(n_values, mode, samples, seed, out_path):
-    """Flat per-ideal rows, in one process; materializes every ideal, so
-    exhaustive mode is intended for small n here."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    nmax = max(n_values)
-    writer.writerow(_csv_header(nmax) + list(VERIFY_CHECKS))
-    failures = 0
-    for n in n_values:
-        ideals = (enumerate_ideals(n) if mode == "exhaustive" else
-                  (random_ideal(n, sample_rng(seed, n, i)) for i in range(samples)))
-        for ideal in ideals:
-            report = hdepth_report(ideal)
-            outcomes = run_checks(report)
-            failures += sum(1 for o in outcomes if o.applicable and not o.passed)
-            writer.writerow(_csv_row(report, nmax)
-                            + ["" if not o.applicable else int(o.passed) for o in outcomes])
-    _emit(buf.getvalue(), out_path)
+    """Flat per-ideal rows, in one process, each written as it is computed (an
+    ``--out`` file is line buffered, so it grows row by row); materializes
+    every ideal, so exhaustive mode is intended for small n here."""
+    with open(out_path, "w", buffering=1) if out_path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        nmax = max(n_values)
+        writer.writerow(_csv_header(nmax) + list(VERIFY_CHECKS))
+        failures = 0
+        for n in n_values:
+            ideals = (enumerate_ideals(n) if mode == "exhaustive" else
+                      (random_ideal(n, sample_rng(seed, n, i)) for i in range(samples)))
+            for ideal in ideals:
+                report = hdepth_report(ideal)
+                outcomes = run_checks(report)
+                failures += sum(1 for o in outcomes if o.applicable and not o.passed)
+                writer.writerow(_csv_row(report, nmax)
+                                + ["" if not o.applicable else int(o.passed) for o in outcomes])
     return 1 if failures else 0
 
 

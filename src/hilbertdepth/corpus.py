@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
-from math import comb
+from math import ceil, comb, log
 
 from .combinatorics import N_MAX, complement_counts
 from .errors import CapacityError
@@ -243,23 +244,67 @@ def default_degree_weights(n: int) -> dict[int, float]:
 
 
 @lru_cache(maxsize=None)
-def _degree_table(n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The generator degrees and their cumulative weights."""
+def _degree_table(n: int) -> tuple[tuple[int, ...], tuple[float, ...], tuple[bool, ...]]:
+    """The generator degrees, their cumulative (float) weights, and for each
+    degree d whether ``Random.sample(range(n), d)`` keeps a pool.
+
+    ``sample`` keeps a pool when n is at most its ``setsize``, 21 plus a set's
+    table size for d > 5; otherwise it redraws repeated indices.
+    """
     weights = default_degree_weights(n)
     degrees = tuple(sorted(weights))
-    return degrees, tuple(accumulate(weights[d] for d in degrees))
+    cum = tuple(accumulate(weights[d] for d in degrees))
+    pooled = tuple(n <= 21 + (4 ** ceil(log(d * 3, 4)) if d > 5 else 0) for d in degrees)
+    return degrees, cum, pooled
 
 
 def random_gen_masks(n: int, rng: random.Random) -> tuple[int, ...]:
-    """Minimalized generator masks of one random ideal (always proper, nonzero)."""
-    degrees, cum = _degree_table(n)
-    g = rng.randint(1, 3 * n)
+    """Minimalized generator masks of one random ideal (always proper, nonzero).
+
+    The draws are, draw for draw, those of ``rng.randint(1, 3 * n)`` generators,
+    each of degree ``d = rng.choices(degrees, cum_weights=cum)[0]`` on the
+    variables ``rng.sample(range(n), d)``, as CPython's ``Lib/random.py``
+    (3.10-3.13) makes them for a ``random.Random``; they call ``getrandbits``
+    and ``random`` directly instead of going through those wrappers:
+
+    * ``_randbelow_with_getrandbits(m)`` draws ``getrandbits(m.bit_length())``
+      until the value is below m; ``randint(1, 3n)`` is 1 plus that for 3n;
+    * ``choices`` bisects ``random() * cum[-1]`` into ``cum[:-1]``;
+    * ``sample`` with a pool runs a partial Fisher-Yates: index
+      ``j = randbelow(n - i)`` takes ``pool[j]``, which ``pool[n - i - 1]``
+      replaces; without one it redraws ``j = randbelow(n)`` until it is new.
+
+    ``tests/test_corpus.py`` pins the masks and the generator state after the
+    draws against the stdlib calls.
+    """
+    degrees, cum, pooled = _degree_table(n)
+    getrandbits, rand = rng.getrandbits, rng.random
+    total, hi = cum[-1], len(degrees) - 1
+    width = 3 * n
+    bits = width.bit_length()
+    g = getrandbits(bits)
+    while g >= width:
+        g = getrandbits(bits)
     masks = []
-    for _ in range(g):
-        d = rng.choices(degrees, cum_weights=cum)[0]
+    for _ in range(1 + g):
+        i = bisect(cum, rand() * total, 0, hi)
+        d = degrees[i]
         mask = 0
-        for v in rng.sample(range(n), d):
-            mask |= 1 << v
+        if pooled[i]:
+            pool = list(range(n))
+            for size in range(n, n - d, -1):
+                bits = size.bit_length()
+                j = getrandbits(bits)
+                while j >= size:
+                    j = getrandbits(bits)
+                mask |= 1 << pool[j]
+                pool[j] = pool[size - 1]
+        else:
+            bits = n.bit_length()
+            while mask.bit_count() < d:
+                j = getrandbits(bits)
+                if j < n:
+                    mask |= 1 << j
         masks.append(mask)
     return minimalize(masks)
 

@@ -66,10 +66,14 @@ class Monomial:
 
 
 def minimalize(masks) -> tuple[int, ...]:
-    """Prune to the antichain of divisibility-minimal masks (duplicates dropped)."""
+    """Prune to the antichain of divisibility-minimal masks (duplicates dropped),
+    sorted by (degree, mask)."""
     result: list[int] = []
-    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
-        if not any(r & ~m == 0 for r in result):
+    for m in sorted(sorted(set(masks)), key=int.bit_count):
+        for r in result:
+            if not r & ~m:
+                break
+        else:
             result.append(m)
     return tuple(result)
 

@@ -74,7 +74,8 @@ def test_criterion_02_exhaustive_depth_comparison_n6(n6_summary):
           and s.elapsed < 600.0)
     _line(2, ok,
           f"n=6 exhaustive: {s.scanned} complexes, 0 violations, "
-          f"{s.elapsed:.1f}s with {s.workers} workers (< 600s)")
+          f"{s.elapsed:.1f}s (< 600s), workers={s.workers} requested; "
+          "exhaustive runs use one process")
 
 
 def test_n6_census_profiles(n6_summary):

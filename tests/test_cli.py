@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hilbertdepth import cli
 from hilbertdepth.cli import main
 from hilbertdepth.corpus import PROPER_IDEAL_COUNTS
 from hilbertdepth.depth import hdepth_report
@@ -162,6 +163,26 @@ def test_verify_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(path.read_text())
     assert payload["results"]["total_failures"] == 0
+
+
+def test_verify_csv_streams_rows_to_out_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "out.csv"
+    sizes = []
+
+    def recording_report(ideal):
+        sizes.append(path.stat().st_size if path.exists() else 0)
+        return hdepth_report(ideal)
+
+    monkeypatch.setattr(cli, "hdepth_report", recording_report)
+    code, out, _ = run_cli(capsys, "verify", "--exhaustive", "-n", "3",
+                           "--format", "csv", "--out", str(path))
+    assert code == 0 and out == ""
+    text = path.read_bytes().decode()
+    header = text.splitlines(keepends=True)[0]
+    assert len(sizes) == PROPER_IDEAL_COUNTS[3]
+    # the header and the first nine rows are in the file before the tenth report
+    assert sizes[9] > len(header)
+    assert text == run_cli(capsys, "verify", "--exhaustive", "-n", "3", "--format", "csv")[1]
 
 
 def test_search_exhaustive_main(capsys):

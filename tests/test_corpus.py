@@ -2,7 +2,7 @@
 
 import hashlib
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -11,11 +11,12 @@ from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  alpha_census, compressed_complex_ideal,
                                  default_degree_weights,
                                  enumerate_downsets, enumerate_ideals,
-                                 find_ideal_with_alpha, random_ideal,
+                                 find_ideal_with_alpha, random_gen_masks,
+                                 random_ideal,
                                  run_verification, sample_rng,
                                  search_counterexample)
 from hilbertdepth.errors import CapacityError
-from hilbertdepth.ideals import alpha_of_quotient, parse_ideal
+from hilbertdepth.ideals import alpha_of_quotient, minimalize, parse_ideal
 
 
 def brute_force_downset_count(n):
@@ -134,6 +135,33 @@ def test_random_ideal_deterministic():
     assert a == b
     draws = {str(random_ideal(9, sample_rng(42, 9, i))) for i in range(50)}
     assert len(draws) > 40  # distinct indices give (almost always) distinct ideals
+
+
+def stdlib_gen_masks(n, rng):
+    """Reference: the draws of ``random_gen_masks`` through the stdlib wrappers."""
+    weights = default_degree_weights(n)
+    degrees = tuple(sorted(weights))
+    cum = tuple(accumulate(weights[d] for d in degrees))
+    g = rng.randint(1, 3 * n)
+    masks = []
+    for _ in range(g):
+        d = rng.choices(degrees, cum_weights=cum)[0]
+        mask = 0
+        for v in rng.sample(range(n), d):
+            mask |= 1 << v
+        masks.append(mask)
+    return minimalize(masks)
+
+
+def test_random_gen_masks_matches_stdlib_draws():
+    # equal generator states mean that both consumed the same words;
+    # n = 22, 30, 40 reach sample's set path for degrees up to 5
+    for n in [*range(2, 15), 22, 30, 40]:
+        for seed in (0, 7, 42):
+            for i in range(300 if n <= 14 else 50):
+                fast, ref = sample_rng(seed, n, i), sample_rng(seed, n, i)
+                assert random_gen_masks(n, fast) == stdlib_gen_masks(n, ref), (n, seed, i)
+                assert fast.getstate() == ref.getstate(), (n, seed, i)
 
 
 def test_random_ideal_invariants_fuzz():

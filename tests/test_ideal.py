@@ -1,7 +1,7 @@
 """Parsing, membership, minimalization, and alpha vectors."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbertdepth.combinatorics import binom_row, macaulay_rep, kk_lower_bound, kk_upper_bound
@@ -67,6 +67,15 @@ def test_minimalize_idempotent():
     masks = (0b0111, 0b0011, 0b1100, 0b1110, 0b0011)
     once = minimalize(masks)
     assert once == minimalize(once) == (0b0011, 0b1100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), max_size=40))
+@example([0, 0, 0b101])
+@example([0b11, 0b11, 0b111, 0b100, 0b100])
+def test_minimalize_matches_brute_force(masks):
+    minimal = {m for m in masks if not any(o != m and o & ~m == 0 for o in masks)}
+    assert minimalize(masks) == tuple(sorted(minimal, key=lambda m: (m.bit_count(), m)))
 
 
 def test_monomial_basics():
