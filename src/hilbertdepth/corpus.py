@@ -39,8 +39,8 @@ from math import ceil, comb, log
 
 from .combinatorics import N_MAX, complement_counts
 from .errors import CapacityError
-from .ideals import (Ideal, Monomial, alpha_counts_of_ideal, alpha_of_quotient,
-                     minimalize)
+from .ideals import (ALPHA_N_MAX, Ideal, Monomial, alpha_counts_of_ideal,
+                     alpha_of_quotient, minimalize)
 from .theorems import (CHECK_ORDER, VERIFY_CHECKS, evaluate_profile,
                        witness_from_ideal)
 
@@ -328,6 +328,12 @@ def sample_rng(seed: int, n: int, index: int) -> random.Random:
 
 # --- plans and reports -----------------------------------------------------------
 
+def _check_random_n(n: int):
+    # each sample's alpha counts walk the 2^n subset lattice
+    if not 2 <= n <= ALPHA_N_MAX:
+        raise CapacityError(f"random mode needs 2 <= n <= {ALPHA_N_MAX}, got {n}")
+
+
 @dataclass(frozen=True)
 class EnumerationPlan:
     """What corpus to scan: exhaustive at small n, or seeded random samples."""
@@ -344,8 +350,7 @@ class EnumerationPlan:
         if self.mode == "exhaustive":
             _check_exhaustive_n(self.n)
         else:
-            if self.n < 2 or self.n > N_MAX:
-                raise CapacityError(f"random mode needs 2 <= n <= {N_MAX}, got {self.n}")
+            _check_random_n(self.n)
             if self.sample_count < 1:
                 raise ValueError("random mode needs sample_count >= 1")
             if self.seed is None:
@@ -582,8 +587,10 @@ def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
     ones take the remainder; an n whose share is 0 is skipped).  The search
     stops at the first n that brings the witness count to ``max_witnesses``.
     """
-    # every plan is built, and so every n checked, before the first scan
+    # every n is checked before the first scan, an n with no share too
     if mode == "random":
+        for n in n_values:
+            _check_random_n(n)
         share, extra = divmod(sample_count, len(n_values))
         counts = [share + (1 if i < extra else 0) for i in range(len(n_values))]
         plans = [EnumerationPlan(n=n, mode=mode, sample_count=c, seed=seed, workers=workers)

@@ -14,15 +14,17 @@ inverts exactly:
 
 All arithmetic is exact.  ``hdepth_report`` bundles both sides (S/I and I)
 for a proper nonzero ideal, materializing full beta triangles (the rows of
-every level) for debugging.
+every level) for debugging.  ``hdepth_pair`` is the fast path of the corpus
+harness: both depths and the row at q from one walk over packed rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
-from .combinatorics import _PASCAL
+from .combinatorics import _PASCAL, binom, binom_row
 from .errors import DomainError
 from .ideals import AlphaVector, Ideal, alpha_of_ideal, alpha_of_quotient
 
@@ -78,6 +80,71 @@ def hdepth(counts) -> int:
             break
         d += 1
     return d
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(n: int):
+    """Per-n tables of ``hdepth_pair``, fields w = 2n+2 bits wide: for each
+    level d, B_d (bit w-1 of fields 0..d) and P_d = B_d + the packed row
+    C(n-d+k-1, k), k = 0..d, of S (with C(-1, 0) = 1 at d = n); plus the
+    binomial row, the alpha vector of S."""
+    w = 2 * n + 2
+    sign = [0] * (n + 1)
+    cap = [0] * (n + 1)
+    acc = 0
+    for d in range(n + 1):
+        acc |= 1 << (w * d + w - 1)
+        sign[d] = acc
+        cap[d] = acc + sum((binom(n - d + k - 1, k) if n - d + k else 1) << (w * k)
+                           for k in range(d + 1))
+    return tuple(sign), tuple(cap), binom_row(n)
+
+
+def hdepth_pair(counts) -> tuple[int, int, tuple[int, ...]]:
+    """(hdepth(S/I), hdepth(I), b^q(S/I)) from the alpha counts of S/I, in one
+    walk; requires 0 <= a_j <= C(n, j), and raises DomainError when S/I or I
+    is zero.
+
+    Each row b^d is one Python int, field k (w = 2n+2 bits) holding b_k^d as
+    a signed digit, so a level is one update: row - (row << w) + (a_d << wd).
+
+    *The I side.*  The beta transform is linear in alpha, and alpha(I) is
+    alpha(S) - alpha(S/I), so b_k^d(I) = b_k^d(S) - b_k^d(S/I).  The row of S
+    is b_k^d(S) = C(n-d+k-1, k): with u = t/(1+t), the inversion
+    a_k = sum_j C(d-j, k-j) b_j reads sum_k a_k t^k = (1+t)^d sum_j b_j u^j
+    mod t^(d+1), and (1+t)^n = (1+t)^d (1-u)^-(n-d) gives
+    sum_j b_j(S) u^j = (1-u)^-(n-d) = sum_k C(n-d+k-1, k) u^k, which is 1
+    at d = n.  So one walk over the rows of S/I decides both depths.
+
+    *The width.*  |b_k^d| <= sum_j C(d-j, k-j) a_j <= sum_j C(n, j) 2^(d-j)
+    <= 3^n < 2^(2n+1) on either side (alpha(I) obeys the same bounds), and
+    0 <= C(n-d+k-1, k) <= 2^(n-1).  So every field of row + B_d and of
+    P_d - row lies in (0, 2^w): no borrow crosses a field, and bit w-1 of
+    field k is set exactly when b_k^d >= 0 on that side.  The walk stops
+    once both sides have met a negative entry (a nonnegative row stays
+    nonnegative at every lower level, see ``hdepth``); b^q is nonnegative,
+    so it decodes as plain w-bit fields.
+    """
+    n = len(counts) - 1
+    sign, cap, full = _pair_tables(n)
+    if not any(counts):
+        raise DomainError("hdepth is undefined for the zero module (S/I = 0)")
+    if tuple(counts) == full:
+        raise DomainError("hdepth is undefined for the zero module (I = 0)")
+    w = 2 * n + 2
+    row = top = 0
+    q = h = -1
+    for d, a in enumerate(counts):
+        row = row - (row << w) + (a << w * d)
+        b = sign[d]
+        if q == d - 1 and (row + b) & b == b:
+            q, top = d, row
+        if h == d - 1 and (cap[d] - row) & b == b:
+            h = d
+        if q < d and h < d:
+            break
+    field = (1 << w) - 1
+    return q, h, tuple(top >> w * k & field for k in range(q + 1))
 
 
 @dataclass(frozen=True)

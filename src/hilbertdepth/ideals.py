@@ -201,11 +201,12 @@ def _lattice(n: int):
     """
     clear = []
     for v in range(n):
-        block = (1 << (1 << v)) - 1
-        period = 1 << (v + 1)
-        reps = (1 << n) // period
-        # block repeated every `period` bits, `reps` times
-        clear.append(block * (((1 << (period * reps)) - 1) // ((1 << period) - 1)))
+        # 2^v ones, 2^v zeros, repeated: double the pattern up to 2^n bits
+        pattern, width = (1 << (1 << v)) - 1, 1 << (v + 1)
+        while width < 1 << n:
+            pattern |= pattern << width
+            width <<= 1
+        clear.append(pattern)
     level = [1] + [0] * n  # levels for n = 0: only the empty set
     for v in range(n):
         shift = 1 << v

@@ -280,8 +280,10 @@ def test_csv_verify_rejects_more_than_one_worker(capsys, corpus):
 
 
 def test_multi_n_commands_check_every_n_before_scanning(capsys, monkeypatch):
-    # n = 7 is beyond the exhaustive ceiling, so no n of the range may be
-    # scanned; a scan entry point records its call and stops there
+    # n = 7 is beyond the exhaustive ceiling and n = 26 beyond the random one
+    # (alpha counting), so no n of the range may be scanned; a scan entry
+    # point records its call and stops there.  One sample over 25..26 leaves
+    # n = 26 no share of a search, and it is still checked.
     calls = []
 
     def refused(name):
@@ -291,11 +293,15 @@ def test_multi_n_commands_check_every_n_before_scanning(capsys, monkeypatch):
         return scan
 
     for target in ("hilbertdepth.cli.run_verification", "hilbertdepth.cli.enumerate_ideals",
-                   "hilbertdepth.corpus.search_counterexample"):
+                   "hilbertdepth.cli.random_ideal", "hilbertdepth.corpus.search_counterexample"):
         monkeypatch.setattr(target, refused(target))
+    random_range = ["--random", "--n-range", "25..26", "--samples", "1", "--seed", "1"]
     for argv in (["verify", "--exhaustive", "--n-range", "5..7"],
                  ["verify", "--exhaustive", "--n-range", "5..7", "--format", "csv"],
-                 ["search", "--predicate", "main", "--exhaustive", "--n-range", "5..7"]):
+                 ["search", "--predicate", "main", "--exhaustive", "--n-range", "5..7"],
+                 ["verify", *random_range, "--format", "json"],
+                 ["verify", *random_range, "--format", "csv"],
+                 ["search", "--predicate", "main", *random_range]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 4, argv
         assert out == "" and "capacity error" in err

@@ -222,6 +222,9 @@ def test_find_ideal_with_alpha_realizes_every_census_profile():
 def test_plan_validation():
     with pytest.raises(CapacityError):
         EnumerationPlan(n=7, mode="exhaustive")
+    with pytest.raises(CapacityError):
+        EnumerationPlan(n=26, mode="random", sample_count=1, seed=1)  # beyond ALPHA_N_MAX
+    EnumerationPlan(n=25, mode="random", sample_count=1, seed=1)
     with pytest.raises(ValueError):
         EnumerationPlan(n=5, mode="random", sample_count=0, seed=1)
     with pytest.raises(ValueError):

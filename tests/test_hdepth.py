@@ -5,15 +5,15 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hilbertdepth.combinatorics import binom, binom_row
-from hilbertdepth.corpus import enumerate_ideals
+from hilbertdepth.combinatorics import binom, binom_row, complement_counts
+from hilbertdepth.corpus import alpha_census, enumerate_ideals
 from hilbertdepth.depth import (alpha_from_beta, beta_triangle, beta_values,
-                                hdepth, hdepth_report)
+                                hdepth, hdepth_pair, hdepth_report)
 from hilbertdepth.errors import DomainError
-from hilbertdepth.ideals import parse_ideal
+from hilbertdepth.ideals import ALPHA_N_MAX, parse_ideal
 from hilbertdepth.theorems import principal_alpha_profile
 
 
@@ -95,25 +95,84 @@ def closed_form_beta(a, q):
                  for k in range(q + 1))
 
 
-def test_beta_rows_match_closed_form_seeded():
-    # every level of the triangle, and every single-level table, against the
-    # definition; hdepth is the largest level whose closed-form row is >= 0.
-    # Complements of uniform vectors reach the high levels uniform ones miss.
+def seeded_alpha_vectors():
+    """(n, alpha, q): 1,000 seeded uniform alpha vectors, each followed by its
+    complement, with a level q drawn for each.  Complements of uniform
+    vectors reach the high levels uniform ones miss."""
     rng = random.Random(1414)
-    depths = set()
     for _ in range(1000):
         n = rng.randint(1, 14)
         a = tuple(rng.randint(0, comb(n, j)) for j in range(n + 1))
         for vec in (a, tuple(comb(n, j) - a[j] for j in range(n + 1))):
-            closed = [closed_form_beta(vec, d) for d in range(n + 1)]
-            assert list(beta_triangle(vec)) == closed
-            q = rng.randint(0, n)
-            assert beta_values(vec, q) == closed[q]
-            if any(vec):
-                d = hdepth(vec)
-                depths.add(d)
-                assert d == max(d for d in range(n + 1) if min(closed[d]) >= 0)
+            yield n, vec, rng.randint(0, n)
+
+
+def test_beta_rows_match_closed_form_seeded():
+    # every level of the triangle, and every single-level table, against the
+    # definition; hdepth is the largest level whose closed-form row is >= 0
+    depths = set()
+    for n, vec, q in seeded_alpha_vectors():
+        closed = [closed_form_beta(vec, d) for d in range(n + 1)]
+        assert list(beta_triangle(vec)) == closed
+        assert beta_values(vec, q) == closed[q]
+        if any(vec):
+            d = hdepth(vec)
+            depths.add(d)
+            assert d == max(d for d in range(n + 1) if min(closed[d]) >= 0)
     assert len(depths) >= 8
+
+
+def reference_pair(a):
+    """What hdepth_pair must return, through the tuple recurrence, with the
+    I side walked from alpha(I) itself."""
+    q = hdepth(a)
+    return q, hdepth(complement_counts(len(a) - 1, a)), beta_values(a, q)
+
+
+def test_hdepth_pair_matches_reference_exactly():
+    # every census profile for n = 1..6, and the seeded vectors: where S/I or
+    # I is zero, hdepth_pair refuses as hdepth does
+    for n in range(1, 7):
+        for a in alpha_census(n):
+            assert hdepth_pair(a) == reference_pair(a)
+    seen = set()
+    for n, a, _ in seeded_alpha_vectors():
+        if any(a) and a != binom_row(n):
+            result = hdepth_pair(a)
+            assert result == reference_pair(a)
+            seen.add(result[:2])
+        else:
+            with pytest.raises(DomainError):
+                hdepth_pair(a)
+    assert len(seen) >= 30
+
+
+@st.composite
+def quotient_alphas(draw):
+    """alpha(S/I) of a proper nonzero ideal's shape: a_0 = 1, 0 <= a_j <= C(n, j),
+    not the full binomial row (I = 0)."""
+    n = draw(st.integers(min_value=1, max_value=ALPHA_N_MAX))
+    row = binom_row(n)
+    a = (1,) + tuple(draw(st.integers(min_value=0, max_value=c)) for c in row[1:])
+    assume(a != row)
+    return a
+
+
+def _alternating(n, parity):
+    return tuple(1 if j == 0 else comb(n, j) if j % 2 == parity else 0 for j in range(n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_alphas())
+# the widest fields: full levels of one parity, so the alternating sums pile up
+@example(_alternating(ALPHA_N_MAX, 0))
+@example(_alternating(ALPHA_N_MAX, 1))
+# principal ideals, where hdepth(I) = n reads the S row at d = n
+@example(tuple(comb(ALPHA_N_MAX, j) for j in range(ALPHA_N_MAX)) + (0,))
+@example(tuple(comb(ALPHA_N_MAX, j) - binom(ALPHA_N_MAX - 2, j - 2)
+               for j in range(ALPHA_N_MAX + 1)))
+def test_hdepth_pair_matches_reference_fuzz(a):
+    assert hdepth_pair(a) == reference_pair(a)
 
 
 def test_hdepth_zero_module_errors():

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hilbertdepth.combinatorics import binom_row, macaulay_rep, kk_lower_bound, kk_upper_bound
+from hilbertdepth.combinatorics import binom, binom_row, macaulay_rep, kk_lower_bound, kk_upper_bound
 from hilbertdepth.corpus import enumerate_ideals, random_ideal, sample_rng
 from hilbertdepth.errors import CapacityError, DomainError, ParseError
-from hilbertdepth.ideals import (Ideal, Monomial, alpha_of_ideal,
+from hilbertdepth.ideals import (ALPHA_N_MAX, Ideal, Monomial, _lattice,
+                                 alpha_counts_of_ideal, alpha_of_ideal,
                                  alpha_of_quotient, alpha_vector, minimalize,
                                  parse_ideal)
 
@@ -153,6 +154,28 @@ def test_alpha_kruskal_katona_consistency_exhaustive():
                 assert a[k + 1] <= kk_upper_bound(rep)
                 if k >= 2:
                     assert kk_lower_bound(rep) <= a[k - 1]
+
+
+def test_lattice_masks_match_definition():
+    # clear[v]: the subset indices without variable bit v; level[j]: those of
+    # popcount j
+    for n in range(13):
+        clear, level = _lattice(n)
+        indices = range(1 << n)
+        assert clear == tuple(sum(1 << i for i in indices if not i >> v & 1)
+                              for v in range(n))
+        assert level == tuple(sum(1 << i for i in indices if i.bit_count() == j)
+                              for j in range(n + 1))
+
+
+def test_alpha_counts_at_the_cap():
+    # (x1*x2) holds the degree-j monomials through x1 and x2: C(n-2, j-2)
+    n = ALPHA_N_MAX
+    try:
+        assert alpha_counts_of_ideal(n, [0b11]) == tuple(binom(n - 2, j - 2)
+                                                         for j in range(n + 1))
+    finally:
+        _lattice.cache_clear()  # about 200 MB of masks at n = 25
 
 
 def test_alpha_errors():
