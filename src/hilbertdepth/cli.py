@@ -23,7 +23,6 @@ import argparse
 import csv
 import io
 import json
-import platform
 import sys
 import time
 from contextlib import nullcontext
@@ -95,6 +94,7 @@ def _json_payload(command: str, config: dict, results: dict, deterministic: bool
     payload: dict = {"schema_version": SCHEMA_VERSION, "command": command}
     if not deterministic:
         payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        import platform  # only non-deterministic payloads name the host
         payload["host"] = platform.node()
     payload["config"] = config
     payload["results"] = results

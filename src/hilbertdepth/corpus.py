@@ -30,7 +30,6 @@ import random
 import time
 from bisect import bisect
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
@@ -451,6 +450,8 @@ def _pool_map(workers: int, fn, tasks: list):
     if workers <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
+    # imported here: the pool's modules cost every launch ~30 ms, and one worker never needs them
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         todo = iter(tasks)
         pending = deque(pool.submit(fn, t) for t in islice(todo, workers + 2))

@@ -14,8 +14,9 @@ inverts exactly:
 
 All arithmetic is exact.  ``hdepth_report`` bundles both sides (S/I and I)
 for a proper nonzero ideal, materializing full beta triangles (the rows of
-every level) for debugging.  ``hdepth_pair`` is the fast path of the corpus
-harness: both depths and the row at q from one walk over packed rows.
+every level) for debugging, and reads both depths off those triangles.
+``hdepth_pair`` is the fast path of the corpus harness: both depths and the
+row at q from one walk over packed rows.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import sub
 
 from .combinatorics import _PASCAL, binom, binom_row
 from .errors import DomainError
@@ -37,7 +39,7 @@ def beta_rows(counts):
     yield row
     for a in counts[1:]:
         alternating = a - alternating
-        row = (a0, *[b - prev for prev, b in zip(row, row[1:])], alternating)
+        row = (a0, *map(sub, row[1:], row), alternating)
         yield row
 
 
@@ -64,22 +66,30 @@ def alpha_from_beta(row) -> tuple[int, ...]:
     )
 
 
-def hdepth(counts) -> int:
-    """The largest d in [0, n] whose beta row is entrywise nonnegative.
+def _depth(rows) -> int:
+    """The last level before the first beta row with a negative entry.
 
     Walks the levels upward and stops at the first one with a negative entry:
     b^(d-1) is the running sum of b^d, so every level below an admissible one
-    is admissible too.  Raises DomainError on the all-zero alpha vector: the
-    zero module has no depth.
+    is admissible too.
     """
-    if not any(counts):
-        raise DomainError("hdepth is undefined for the zero module (all-zero alpha)")
     d = -1
-    for row in beta_rows(counts):
+    for row in rows:
         if min(row) < 0:
             break
         d += 1
     return d
+
+
+def hdepth(counts) -> int:
+    """The largest d in [0, n] whose beta row is entrywise nonnegative.
+
+    Raises DomainError on the all-zero alpha vector: the zero module has no
+    depth.
+    """
+    if not any(counts):
+        raise DomainError("hdepth is undefined for the zero module (all-zero alpha)")
+    return _depth(beta_rows(counts))
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +177,8 @@ class HdepthReport:
 
 
 def hdepth_report(I: Ideal) -> HdepthReport:
-    """Compute alpha vectors, both Hilbert depths, and both beta triangles.
+    """Compute alpha vectors, both beta triangles, and both Hilbert depths
+    (read off the triangles).
 
     Requires 0 != I != S; raises DomainError naming the offending side.
     """
@@ -177,14 +188,16 @@ def hdepth_report(I: Ideal) -> HdepthReport:
         raise DomainError("hdepth report needs a proper ideal (I = S given)")
     a_q = alpha_of_quotient(I)
     a_i = alpha_of_ideal(I)
+    t_q = beta_triangle(a_q.counts)
+    t_i = beta_triangle(a_i.counts)
     return HdepthReport(
         ideal=I,
         alpha_quotient=a_q,
         alpha_ideal=a_i,
-        hdepth_quotient=hdepth(a_q.counts),
-        hdepth_ideal=hdepth(a_i.counts),
-        beta_triangle_quotient=beta_triangle(a_q.counts),
-        beta_triangle_ideal=beta_triangle(a_i.counts),
+        hdepth_quotient=_depth(t_q),
+        hdepth_ideal=_depth(t_i),
+        beta_triangle_quotient=t_q,
+        beta_triangle_ideal=t_i,
         principal=I.is_principal,
         in_m2=I.in_m2,
     )

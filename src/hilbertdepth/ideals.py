@@ -48,7 +48,13 @@ class Monomial:
 
     def variables(self) -> tuple[int, ...]:
         """1-based indices of the variables appearing in the monomial."""
-        return tuple(i + 1 for i in range(self.mask.bit_length()) if self.mask >> i & 1)
+        out = []
+        m = self.mask
+        while m:
+            low = m & -m  # the lowest set bit; its bit_length is its variable
+            out.append(low.bit_length())
+            m ^= low
+        return tuple(out)
 
     @classmethod
     def from_variables(cls, variables) -> "Monomial":
@@ -191,13 +197,14 @@ def parse_ideal(text: str, n: int) -> Ideal:
 
 # --- subset-lattice bitsets ---------------------------------------------------
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _lattice(n: int):
     """Per-n big-integer masks over the 2^n subset indices:
 
     returns (clear[v] for v in 0..n-1, level[j] for j in 0..n) where clear[v]
     flags the indices with variable-bit v unset and level[j] flags the indices
-    of popcount j.
+    of popcount j.  Only the last n's masks are kept (about 200 MB at n = 25):
+    every run visits its n values one at a time.
     """
     clear = []
     for v in range(n):
@@ -282,7 +289,8 @@ def alpha_vector(J: Ideal, I: Ideal | None = None) -> AlphaVector:
         I = Ideal.zero(n)
     if I.n != n:
         raise DomainError(f"alpha_vector: mismatched variable counts {I.n} != {n}")
-    if not J.contains_ideal(I):
+    # containment holds trivially in S and for the zero ideal
+    if not (J.is_unit or I.is_zero or J.contains_ideal(I)):
         raise DomainError("alpha_vector: I is not contained in J")
     if n > ALPHA_N_MAX:
         raise CapacityError(

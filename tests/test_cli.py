@@ -3,6 +3,11 @@
 import csv
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +123,28 @@ def test_verify_json_deterministic_bytes(capsys):
     assert [s["scanned"] for s in sums] == [PROPER_IDEAL_COUNTS[n] for n in (1, 2, 3, 4)]
     assert payload["results"]["total_failures"] == 0
     assert "elapsed_seconds" not in sums[0]
+
+
+def test_verify_json_stamps_without_deterministic(capsys):
+    code, out, _ = run_cli(capsys, "verify", "-n", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["generated_at"]
+    assert payload["host"] == platform.node()
+    assert "elapsed_seconds" in payload["results"]["summaries"][0]
+
+
+def test_import_leaves_pool_and_platform_unloaded():
+    # a fresh interpreter: --workers 1 never starts the pool, so importing the
+    # CLI loads none of its modules, nor platform
+    probe = ("import sys; before = set(sys.modules); import hilbertdepth.cli; "
+             "print(sorted(m for m in set(sys.modules) - before "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'platform')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_random_json(capsys):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hilbertdepth.combinatorics import binom, binom_row, complement_counts
-from hilbertdepth.corpus import alpha_census, enumerate_ideals
+from hilbertdepth.corpus import alpha_census, enumerate_ideals, random_ideal, sample_rng
 from hilbertdepth.depth import (alpha_from_beta, beta_triangle, beta_values,
                                 hdepth, hdepth_pair, hdepth_report)
 from hilbertdepth.errors import DomainError
@@ -204,6 +204,17 @@ def test_hdepth_report_bounds_exhaustive():
             r = hdepth_report(I)
             assert 0 <= r.hdepth_quotient <= n - 1
             assert 1 <= r.hdepth_ideal <= n
+
+
+def test_hdepth_report_depths_match_hdepth_and_pair():
+    # every ideal for n <= 4, and 200 seeded ideals for each n = 7..14
+    ideals = [I for n in range(1, 5) for I in enumerate_ideals(n)]
+    ideals += [random_ideal(n, sample_rng(8, n, i)) for n in range(7, 15) for i in range(200)]
+    for I in ideals:
+        r = hdepth_report(I)
+        a_q, a_i = tuple(r.alpha_quotient), tuple(r.alpha_ideal)
+        depths = (r.hdepth_quotient, r.hdepth_ideal)
+        assert depths == (hdepth(a_q), hdepth(a_i)) == hdepth_pair(a_q)[:2]
 
 
 def test_principal_equivalences_exhaustive():

@@ -88,6 +88,12 @@ def test_monomial_basics():
     assert not Monomial(0b010).divides(Monomial(0b101))
 
 
+def test_monomial_variables_match_bit_scan():
+    for m in range(1 << 12):
+        assert Monomial(m).variables() == tuple(
+            i + 1 for i in range(m.bit_length()) if m >> i & 1)
+
+
 def test_contains_examples():
     I = parse_ideal("x1*x2", 3)
     assert I.contains(Monomial(0b111))
@@ -129,6 +135,18 @@ def test_alpha_general_quotient():
     I = parse_ideal("x1*x2", 2)
     assert tuple(alpha_vector(J, I)) == (0, 1, 0)
     assert tuple(alpha_vector(J, J)) == (0, 0, 0)
+
+
+def test_alpha_vector_of_unit_and_zero_sides():
+    # J = S and I = 0 skip the containment check; I's counts by brute force
+    for n in range(1, 6):
+        row = binom_row(n)
+        for I in enumerate_ideals(n):
+            a_i = tuple(sum(1 for m in range(1 << n) if m.bit_count() == j and I.contains(m))
+                        for j in range(n + 1))
+            assert tuple(alpha_vector(I, Ideal.zero(n))) == a_i
+            assert tuple(alpha_vector(Ideal.unit(n), I)) == tuple(
+                row[j] - a_i[j] for j in range(n + 1))
 
 
 def test_alpha_complement_identity_exhaustive():
@@ -176,6 +194,15 @@ def test_alpha_counts_at_the_cap():
                                                          for j in range(n + 1))
     finally:
         _lattice.cache_clear()  # about 200 MB of masks at n = 25
+
+
+def test_lattice_holds_one_n():
+    try:
+        alpha_counts_of_ideal(10, [0b11])
+        alpha_counts_of_ideal(11, [0b11])
+        assert _lattice.cache_info().currsize == 1
+    finally:
+        _lattice.cache_clear()
 
 
 def test_alpha_errors():
