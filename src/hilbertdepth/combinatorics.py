@@ -24,15 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add, sub
 
 N_MAX = 40
 
-def _pascal(limit: int) -> list[list[int]]:
-    rows = [[1]]
+def _pascal(limit: int) -> tuple[tuple[int, ...], ...]:
+    rows = [(1,)]
     for n in range(1, limit + 1):
         prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
-    return rows
+        rows.append((1, *map(add, prev, prev[1:]), 1))
+    return tuple(rows)
 
 _PASCAL = _pascal(N_MAX)
 
@@ -55,12 +56,12 @@ def binom_row(n: int) -> tuple[int, ...]:
     """The full row (C(n,0), ..., C(n,n))."""
     if not 0 <= n <= N_MAX:
         raise ValueError(f"binom_row: n={n} outside supported range [0, {N_MAX}]")
-    return tuple(_PASCAL[n])
+    return _PASCAL[n]
 
 
 def complement_counts(n: int, counts) -> tuple[int, ...]:
     """Apply a_j -> C(n,j) - a_j (swaps the roles of I and S/I)."""
-    return tuple(c - a for c, a in zip(binom_row(n), counts))
+    return tuple(map(sub, binom_row(n), counts))
 
 
 @dataclass(frozen=True)

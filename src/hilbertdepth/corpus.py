@@ -243,18 +243,25 @@ def default_degree_weights(n: int) -> dict[int, float]:
 
 
 @lru_cache(maxsize=None)
-def _degree_table(n: int) -> tuple[tuple[int, ...], tuple[float, ...], tuple[bool, ...]]:
-    """The generator degrees, their cumulative (float) weights, and for each
-    degree d whether ``Random.sample(range(n), d)`` keeps a pool.
+def _degree_table(n: int):
+    """Everything ``random_gen_masks`` draws with at n, computed once per n.
 
-    ``sample`` keeps a pool when n is at most its ``setsize``, 21 plus a set's
-    table size for d > 5; otherwise it redraws repeated indices.
+    Returns ``(degrees, cum, steps, bits)``: the generator degrees, their
+    cumulative (float) weights, for each degree d the steps of
+    ``Random.sample(range(n), d)``'s partial Fisher-Yates as
+    ``(size, size.bit_length(), size - 1)`` tuples for size = n, n-1, ...,
+    n-d+1 (or None where ``sample`` keeps no pool: it keeps one when n is at
+    most its ``setsize``, 21 plus a set's table size for d > 5, and otherwise
+    redraws repeated indices), and the variable bits ``(1 << v for v in
+    range(n))`` that a pool starts from.
     """
     weights = default_degree_weights(n)
     degrees = tuple(sorted(weights))
     cum = tuple(accumulate(weights[d] for d in degrees))
-    pooled = tuple(n <= 21 + (4 ** ceil(log(d * 3, 4)) if d > 5 else 0) for d in degrees)
-    return degrees, cum, pooled
+    steps = tuple(tuple((size, size.bit_length(), size - 1) for size in range(n, n - d, -1))
+                  if n <= 21 + (4 ** ceil(log(d * 3, 4)) if d > 5 else 0) else None
+                  for d in degrees)
+    return degrees, cum, steps, tuple(1 << v for v in range(n))
 
 
 def random_gen_masks(n: int, rng: random.Random) -> tuple[int, ...]:
@@ -270,38 +277,42 @@ def random_gen_masks(n: int, rng: random.Random) -> tuple[int, ...]:
       until the value is below m; ``randint(1, 3n)`` is 1 plus that for 3n;
     * ``choices`` bisects ``random() * cum[-1]`` into ``cum[:-1]``;
     * ``sample`` with a pool runs a partial Fisher-Yates: index
-      ``j = randbelow(n - i)`` takes ``pool[j]``, which ``pool[n - i - 1]``
-      replaces; without one it redraws ``j = randbelow(n)`` until it is new.
+      ``j = randbelow(size)`` takes ``pool[j]``, which ``pool[size - 1]``
+      replaces, for size = n down to n - d + 1; without one it redraws
+      ``j = randbelow(n)`` until it is new.
 
-    ``tests/test_corpus.py`` pins the masks and the generator state after the
-    draws against the stdlib calls.
+    The Fisher-Yates steps come from ``_degree_table``: each is one
+    ``(size, bit width, last index)`` tuple, and the pool is a copy of the
+    variable bits, so a step ORs ``pool[j]`` into the mask with no
+    ``bit_length`` call or shift.  ``tests/test_corpus.py`` pins the masks and
+    the generator state after the draws against the stdlib calls.
     """
-    degrees, cum, pooled = _degree_table(n)
+    degrees, cum, steps, bits = _degree_table(n)
     getrandbits, rand = rng.getrandbits, rng.random
     total, hi = cum[-1], len(degrees) - 1
     width = 3 * n
-    bits = width.bit_length()
-    g = getrandbits(bits)
+    w = width.bit_length()
+    g = getrandbits(w)
     while g >= width:
-        g = getrandbits(bits)
+        g = getrandbits(w)
     masks = []
     for _ in range(1 + g):
         i = bisect(cum, rand() * total, 0, hi)
-        d = degrees[i]
+        walk = steps[i]
         mask = 0
-        if pooled[i]:
-            pool = list(range(n))
-            for size in range(n, n - d, -1):
-                bits = size.bit_length()
-                j = getrandbits(bits)
+        if walk is not None:
+            pool = list(bits)
+            for size, w, last in walk:
+                j = getrandbits(w)
                 while j >= size:
-                    j = getrandbits(bits)
-                mask |= 1 << pool[j]
-                pool[j] = pool[size - 1]
+                    j = getrandbits(w)
+                mask |= pool[j]
+                pool[j] = pool[last]
         else:
-            bits = n.bit_length()
+            d = degrees[i]
+            w = n.bit_length()
             while mask.bit_count() < d:
-                j = getrandbits(bits)
+                j = getrandbits(w)
                 if j < n:
                     mask |= 1 << j
         masks.append(mask)
@@ -418,8 +429,8 @@ def _sample_task(args):
     """Scan sample indices [lo, hi): returns (profile counts, profile outcomes,
     witnesses, scanned).
 
-    Keys are (alpha(S/I), principal); each key is evaluated once.  The first
-    sample of each failing key becomes a witness, until the task holds
+    Keys are alpha(S/I); each key is evaluated once.  The first sample of
+    each failing key becomes a witness, until the task holds
     _WITNESS_CAP_PER_TASK of them.
     """
     n, seed, lo, hi, names = args
@@ -428,12 +439,12 @@ def _sample_task(args):
     witnesses: list[dict] = []
     for i in range(lo, hi):
         masks = random_gen_masks(n, sample_rng(seed, n, i))
-        key = (complement_counts(n, alpha_counts_of_ideal(n, masks)), len(masks) == 1)
+        key = complement_counts(n, alpha_counts_of_ideal(n, masks))
         if key in counts:
             counts[key] += 1
             continue
         counts[key] = 1
-        outcome = outcomes[key] = evaluate_profile(n, *key)
+        outcome = outcomes[key] = evaluate_profile(n, key)
         failing = _failing(outcome, names)
         if failing and len(witnesses) < _WITNESS_CAP_PER_TASK:
             ideal = Ideal(n, tuple(Monomial(m) for m in masks))
@@ -482,10 +493,9 @@ def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
     scanned = 0
     if plan.mode == "exhaustive":
         for alpha, c in alpha_census(plan.n).items():
-            key = (alpha, None)
-            counts[key] = c
+            counts[alpha] = c
             scanned += c
-            outcome = outcomes[key] = evaluate_profile(plan.n, *key)
+            outcome = outcomes[alpha] = evaluate_profile(plan.n, alpha)
             failing = _failing(outcome, names)
             if failing and len(witnesses) < cap:
                 witnesses += _witnesses(find_ideal_with_alpha(plan.n, alpha), failing)

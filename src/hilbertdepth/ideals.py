@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 from .combinatorics import N_MAX, binom_row, complement_counts
 from .errors import CapacityError, DomainError, ParseError
@@ -221,34 +222,23 @@ def _lattice(n: int):
     return tuple(clear), tuple(level)
 
 
-def upward_closure(n: int, members: int) -> int:
-    """Close a subset-lattice bitset upward: every superset of a set bit."""
-    clear, _ = _lattice(n)
-    for v in range(n):
-        members |= (members & clear[v]) << (1 << v)
-    return members
-
-
-def ideal_member_bits(n: int, gen_masks) -> int:
-    """Bitset of all squarefree monomials in the ideal the masks generate."""
-    seed = 0
-    for g in gen_masks:
-        seed |= 1 << g
-    return upward_closure(n, seed) if seed else 0
-
-
-def level_counts(n: int, members: int) -> tuple[int, ...]:
-    """Per-degree popcounts of a subset-lattice bitset."""
-    _, level = _lattice(n)
-    return tuple((members & level[j]).bit_count() for j in range(n + 1))
-
-
 def alpha_counts_of_ideal(n: int, gen_masks) -> tuple[int, ...]:
-    """a_j(I) for the ideal generated by the given masks."""
+    """a_j(I) for the ideal generated by the given masks.
+
+    The members of I are the generator bits closed upward (every superset of
+    a set bit, one shift-or pass per variable), counted per degree against
+    the level masks; this runs once per random sample.
+    """
     if n > ALPHA_N_MAX:
         raise CapacityError(
             f"alpha enumeration walks 2^n subsets; n={n} exceeds cap {ALPHA_N_MAX}")
-    return level_counts(n, ideal_member_bits(n, gen_masks))
+    clear, level = _lattice(n)
+    members = 0
+    for g in gen_masks:
+        members |= 1 << g
+    for v, c in enumerate(clear):
+        members |= (members & c) << (1 << v)
+    return tuple([(members & bits).bit_count() for bits in level])
 
 
 # --- alpha vectors ----------------------------------------------------------
@@ -292,13 +282,13 @@ def alpha_vector(J: Ideal, I: Ideal | None = None) -> AlphaVector:
     # containment holds trivially in S and for the zero ideal
     if not (J.is_unit or I.is_zero or J.contains_ideal(I)):
         raise DomainError("alpha_vector: I is not contained in J")
-    if n > ALPHA_N_MAX:
-        raise CapacityError(
-            f"alpha enumeration walks 2^n subsets; n={n} exceeds cap {ALPHA_N_MAX}")
     if J.is_unit:
         return AlphaVector(n, complement_counts(n, alpha_counts_of_ideal(n, I.gen_masks)))
-    members = ideal_member_bits(n, J.gen_masks) & ~ideal_member_bits(n, I.gen_masks)
-    return AlphaVector(n, level_counts(n, members))
+    counts = alpha_counts_of_ideal(n, J.gen_masks)
+    if not I.is_zero:
+        # I inside J: a_j(J/I) = a_j(J) - a_j(I)
+        counts = tuple(map(sub, counts, alpha_counts_of_ideal(n, I.gen_masks)))
+    return AlphaVector(n, counts)
 
 
 def alpha_of_quotient(I: Ideal) -> AlphaVector:

@@ -35,6 +35,7 @@ and diffs them cell by cell against the published rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .combinatorics import (binom, binom_diff, complement_counts, kk_upper_bound,
@@ -135,6 +136,16 @@ def principal_alpha_profile(n: int, alpha_ideal) -> bool:
     return all(alpha_ideal[j] == binom(n - d, j - d) for j in range(n + 1))
 
 
+@lru_cache(maxsize=None)
+def _principal_profiles(n: int) -> frozenset:
+    """alpha(S/I) of the n principal ideals, one per generator degree d = 1..n:
+    the complements of the C(n-d, j-d) that ``principal_alpha_profile`` tests
+    for.  The first nonzero degree of alpha(I) fixes d, so membership in this
+    set is that test, in one lookup."""
+    return frozenset(complement_counts(n, [binom(n - d, j - d) for j in range(n + 1)])
+                     for d in range(1, n + 1))
+
+
 # --- checkers over full reports ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -209,16 +220,14 @@ class ProfileOutcome(NamedTuple):
     verdicts: tuple[str | None, ...]  # one per CHECK_ORDER entry
 
 
-def evaluate_profile(n: int, alpha_sf, principal: bool | None = None) -> ProfileOutcome:
+def evaluate_profile(n: int, alpha_sf) -> ProfileOutcome:
     """Run every named check from (n, alpha(S/I)) alone.
 
-    ``principal`` may be supplied when the caller holds the generators; when
-    None it is derived from the alpha profile (equivalent, and cross-checked
-    against the generator count in the tests).
+    Principality is a lookup of alpha(S/I) in ``_principal_profiles(n)``.
     """
+    alpha_sf = tuple(alpha_sf)
     q, h_ideal, beta_q = hdepth_pair(alpha_sf)
-    if principal is None:
-        principal = principal_alpha_profile(n, complement_counts(n, alpha_sf))
+    principal = alpha_sf in _principal_profiles(n)
     in_m2 = alpha_sf[0] == 1 and alpha_sf[1] == n
     profile = Profile(n, q, h_ideal, principal, in_m2, beta_q)
     return ProfileOutcome(q, h_ideal, principal, in_m2,

@@ -290,6 +290,17 @@ def test_each_profile_evaluated_once(monkeypatch):
             summary.scanned - summary.checks["bound-equivalence"].applicable)
 
 
+def test_sample_keys_count_distinct_report_alphas():
+    # one 2,000-sample task keys on alpha(S/I) alone; count its distinct
+    # profiles again through Ideal objects and the report path's alpha_vector
+    n, seed, samples = 8, 3, 2000
+    summary = run_verification(EnumerationPlan(n=n, mode="random", sample_count=samples,
+                                               seed=seed))
+    alphas = {tuple(alpha_of_quotient(random_ideal(n, sample_rng(seed, n, i))))
+              for i in range(samples)}
+    assert summary.distinct_profiles == len(alphas)
+
+
 def test_search_exhaustive_clean():
     report = search_counterexample(EnumerationPlan(n=4, mode="exhaustive"), "main")
     assert report.status == "none-exhaustive"

@@ -135,6 +135,15 @@ def test_alpha_general_quotient():
     I = parse_ideal("x1*x2", 2)
     assert tuple(alpha_vector(J, I)) == (0, 1, 0)
     assert tuple(alpha_vector(J, J)) == (0, 0, 0)
+    # every nested pair I inside J for n <= 4, against brute-force counts
+    for n in range(1, 5):
+        ideals = list(enumerate_ideals(n))
+        for J in ideals:
+            for I in filter(J.contains_ideal, ideals):
+                assert tuple(alpha_vector(J, I)) == tuple(
+                    sum(1 for m in range(1 << n)
+                        if m.bit_count() == j and J.contains(m) and not I.contains(m))
+                    for j in range(n + 1)), (J, I)
 
 
 def test_alpha_vector_of_unit_and_zero_sides():

@@ -15,10 +15,10 @@ def _always_failing(name):
     """An evaluate_profile stand-in under which only ``name`` applies, and fails."""
     pos = CHECK_ORDER.index(name)
 
-    def evaluate(n, alpha_sf, principal=None):
+    def evaluate(n, alpha_sf):
         verdicts = [None] * len(CHECK_ORDER)
         verdicts[pos] = "injected"
-        return ProfileOutcome(0, 0, bool(principal), True, tuple(verdicts))
+        return ProfileOutcome(0, 0, False, True, tuple(verdicts))
 
     return evaluate
 
@@ -73,10 +73,10 @@ def test_search_with_workers_stops_after_first_witness_chunk(monkeypatch):
 
 
 def test_one_witness_per_failing_profile_key(monkeypatch):
-    # n = 3 has fewer than 25 (alpha, principal) keys, so the per-task cap is
-    # not what bounds the witnesses: each failing key yields exactly one
+    # n = 3 has fewer than 25 alpha keys, so the per-task cap is not what
+    # bounds the witnesses: each failing key yields exactly one
     def keyed_witness(ideal, name):
-        key = (tuple(alpha_of_quotient(ideal)), len(ideal.gens) == 1)
+        key = tuple(alpha_of_quotient(ideal))
         return {"check": name, "n": ideal.n, "ideal": str(ideal), "key": key}
 
     monkeypatch.setattr(corpus, "evaluate_profile", _always_failing("main"))

@@ -4,12 +4,14 @@ import dataclasses
 
 import pytest
 
-from hilbertdepth.combinatorics import binom, binom_diff
-from hilbertdepth.corpus import compressed_complex_ideal, enumerate_ideals
+from hilbertdepth.combinatorics import binom, binom_diff, complement_counts
+from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumerate_ideals,
+                                 random_ideal, sample_rng)
 from hilbertdepth.depth import hdepth_report
-from hilbertdepth.ideals import alpha_of_quotient, parse_ideal
+from hilbertdepth.ideals import Ideal, Monomial, alpha_of_quotient, parse_ideal
 from hilbertdepth.theorems import (CHECK_ORDER, CHECKS, VERIFY_CHECKS,
-                                   evaluate_profile, reproduce_bound_tables,
+                                   _principal_profiles, evaluate_profile,
+                                   principal_alpha_profile, reproduce_bound_tables,
                                    run_checks, witness_from_ideal)
 
 
@@ -119,6 +121,34 @@ def test_evaluate_profile_matches_rich_checkers_exhaustive():
         assert profile.in_m2 == r.in_m2
         for name, verdict in zip(CHECK_ORDER, profile.verdicts):
             assert verdict == CHECKS[name](r).verdict, (name, ideal)
+
+
+def _lookup_agrees(n, alpha_sf):
+    expected = principal_alpha_profile(n, complement_counts(n, alpha_sf))
+    assert (alpha_sf in _principal_profiles(n)) == expected, (n, alpha_sf)
+    assert evaluate_profile(n, alpha_sf).principal == expected, (n, alpha_sf)
+    return expected
+
+
+def test_principal_lookup_matches_alpha_profile_test():
+    # every census profile for n <= 6
+    for n in range(1, 7):
+        assert sum(_lookup_agrees(n, alpha) for alpha in alpha_census(n)) == n
+    # the n principal profiles, one per generator degree, for n <= 14
+    for n in range(1, 15):
+        assert len(_principal_profiles(n)) == n
+        for d in range(1, n + 1):
+            ideal = Ideal(n, (Monomial((1 << d) - 1),))
+            assert _lookup_agrees(n, tuple(alpha_of_quotient(ideal)))
+    # seeded samples, where the generator count says the same
+    principal = 0
+    for n in range(7, 15):
+        for i in range(200):
+            ideal = random_ideal(n, sample_rng(11, n, i))
+            alpha = tuple(alpha_of_quotient(ideal))
+            assert _lookup_agrees(n, alpha) == (len(ideal.gens) == 1), (n, i)
+            principal += len(ideal.gens) == 1
+    assert principal > 0
 
 
 def test_n9_q6_counterexample_pinned():
