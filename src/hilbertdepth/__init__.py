@@ -16,15 +16,15 @@ from .corpus import (EnumerationPlan, SearchReport, VerifySummary,
 from .depth import (HdepthReport, alpha_from_beta, beta_values, hdepth,
                     hdepth_report)
 from .errors import CapacityError, DomainError, ParseError
-from .ideals import (AlphaVector, Ideal, Monomial, alpha_of_ideal,
-                     alpha_of_quotient, alpha_vector, parse_ideal)
+from .ideals import (Ideal, Monomial, alpha_of_ideal, alpha_of_quotient,
+                     alpha_vector, parse_ideal)
 from .theorems import (CHECKS, CheckOutcome, evaluate_profile,
                        reproduce_bound_tables, run_checks)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaVector", "CHECKS", "CapacityError", "CheckOutcome", "DomainError",
+    "CHECKS", "CapacityError", "CheckOutcome", "DomainError",
     "EnumerationPlan", "HdepthReport", "Ideal", "MacaulayRep", "Monomial",
     "ParseError", "SearchReport", "VerifySummary", "alpha_census",
     "alpha_from_beta", "alpha_of_ideal", "alpha_of_quotient", "alpha_vector",

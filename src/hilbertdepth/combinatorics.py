@@ -80,9 +80,6 @@ class MacaulayRep:
     def value(self) -> int:
         return sum(comb(top, idx) for top, idx in self.terms)
 
-    def tops(self) -> tuple[int, ...]:
-        return tuple(top for top, _ in self.terms)
-
     def is_valid(self) -> bool:
         if self.k < 1:
             return False

@@ -218,7 +218,7 @@ def compressed_complex_ideal(n: int, alpha: tuple[int, ...]) -> Ideal:
     leaf = tuple((1 << a) - 1 for a in alpha[1:])
     ideal = Ideal(n, tuple(Monomial(m) for m in _gens_from_levels(lv, leaf)))
     # the quotient keeps exactly the chosen faces iff the families are closed
-    if tuple(alpha_of_quotient(ideal)) != tuple(alpha):
+    if alpha_of_quotient(ideal) != tuple(alpha):
         raise ValueError("alpha not realizable: its colex families are not a complex")
     return ideal
 
@@ -389,11 +389,15 @@ class VerifySummary:
     witnesses: list[dict]
     distinct_profiles: int
     q_histogram: dict[int, int]
-    lem_gate_excluded: int
 
     @property
     def total_failures(self) -> int:
         return sum(t.failed for t in self.checks.values())
+
+    @property
+    def lem_gate_excluded(self) -> int:
+        """Ideals outside the bound-equivalence gate, where it does not apply."""
+        return self.scanned - self.checks["bound-equivalence"].applicable
 
 
 @dataclass
@@ -414,42 +418,58 @@ _WITNESS_CAP_PER_TASK = 25
 _SAMPLE_TASK_SIZE = 2000
 
 
-def _failing(outcome, names) -> tuple[str, ...]:
-    """The named checks whose verdict in a ProfileOutcome is a failure."""
-    return tuple(name for name in names if outcome.verdicts[CHECK_ORDER.index(name)])
+def _profile_loop(n: int, items, names, cap, realize):
+    """Evaluate each distinct profile of ``items`` once: (profile counts,
+    outcomes, witnesses, scanned).
 
-
-def _witnesses(ideal: Ideal, failing, **extra) -> list[dict]:
-    """Witnesses of the failing checks, each from a fresh full evaluation."""
-    return [w | extra for w in (witness_from_ideal(ideal, name) for name in failing)
-            if w is not None]
-
-
-def _sample_task(args):
-    """Scan sample indices [lo, hi): returns (profile counts, profile outcomes,
-    witnesses, scanned).
-
-    Keys are alpha(S/I); each key is evaluated once.  The first sample of
-    each failing key becomes a witness, until the task holds
-    _WITNESS_CAP_PER_TASK of them.
+    ``items`` yields (alpha(S/I), count, source); ``outcomes`` holds the
+    ProfileOutcome of every key of the profile counts.  Until the loop holds
+    ``cap`` witnesses, the first source of each profile failing any of
+    ``names`` is realized, as ``realize(source) -> (ideal, extra fields)``,
+    into one witness per failing check, each from a fresh full evaluation.
+    A witness that does not re-verify raises RuntimeError: the profile
+    evaluation and the report path disagree.
     """
-    n, seed, lo, hi, names = args
+    positions = [(name, CHECK_ORDER.index(name)) for name in names]
     counts: dict[tuple, int] = {}
     outcomes: dict[tuple, tuple] = {}
     witnesses: list[dict] = []
-    for i in range(lo, hi):
-        masks = random_gen_masks(n, sample_rng(seed, n, i))
-        key = complement_counts(n, alpha_counts_of_ideal(n, masks))
-        if key in counts:
-            counts[key] += 1
+    scanned = 0
+    for alpha, count, source in items:
+        scanned += count
+        if alpha in counts:
+            counts[alpha] += count
             continue
-        counts[key] = 1
-        outcome = outcomes[key] = evaluate_profile(n, key)
-        failing = _failing(outcome, names)
-        if failing and len(witnesses) < _WITNESS_CAP_PER_TASK:
-            ideal = Ideal(n, tuple(Monomial(m) for m in masks))
-            witnesses += _witnesses(ideal, failing, sample_index=i)
-    return counts, outcomes, witnesses, hi - lo
+        counts[alpha] = count
+        outcome = outcomes[alpha] = evaluate_profile(n, alpha)
+        failing = [name for name, pos in positions if outcome.verdicts[pos]]
+        if failing and len(witnesses) < cap:
+            ideal, extra = realize(source)
+            for name in failing:
+                witness = witness_from_ideal(ideal, name)
+                if witness is None:
+                    raise RuntimeError(f"{name} fails on the profile of n = {n}, alpha = "
+                                       f"{alpha}, but its witness {ideal} does not re-verify")
+                witnesses.append(witness | extra)
+    return counts, outcomes, witnesses, scanned
+
+
+def _sample_task(args):
+    """Sample indices [lo, hi) through ``_profile_loop``, keyed on alpha(S/I):
+    a witness is realized from its sample's masks and carries its
+    ``sample_index``."""
+    n, seed, lo, hi, names, cap = args
+
+    def samples():
+        for i in range(lo, hi):
+            masks = random_gen_masks(n, sample_rng(seed, n, i))
+            yield complement_counts(n, alpha_counts_of_ideal(n, masks)), 1, (i, masks)
+
+    def realize(source):
+        i, masks = source
+        return Ideal(n, tuple(Monomial(m) for m in masks)), {"sample_index": i}
+
+    return _profile_loop(n, samples(), names, cap, realize)
 
 
 def _pool_map(workers: int, fn, tasks: list):
@@ -476,58 +496,49 @@ def _pool_map(workers: int, fn, tasks: list):
 
 
 def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
-    """Scan the plan's corpus: (profile counts, outcomes, witnesses, scanned).
+    """Scan the plan's corpus through ``_profile_loop``: (profile counts,
+    outcomes, witnesses, scanned).
 
-    ``outcomes`` holds the ProfileOutcome of every key of the profile counts.
-    Exhaustive mode runs the alpha census in this process, evaluates each of
-    its profiles once and materializes failing profiles until it holds
-    ``max_witnesses`` witnesses.  Random mode runs the sample tasks through
-    the pool, merges the outcomes they computed, and stops after the task
-    that brings the witness count to ``max_witnesses`` (whole tasks only, so
-    the scanned count stays deterministic).
+    Exhaustive mode feeds it the alpha census in this process, realizing a
+    witness from its profile's compressed complex.  Random mode runs the
+    sample tasks through the pool, each building at most
+    min(``max_witnesses``, _WITNESS_CAP_PER_TASK) witnesses, merges them in
+    task order, and stops after the task that brings the witness count to
+    ``max_witnesses`` (whole tasks only, so the scanned count stays
+    deterministic).
     """
+    n = plan.n
     cap = float("inf") if max_witnesses is None else max_witnesses
-    counts: dict[tuple, int] = {}
-    outcomes: dict[tuple, tuple] = {}
-    witnesses: list[dict] = []
-    scanned = 0
     if plan.mode == "exhaustive":
-        for alpha, c in alpha_census(plan.n).items():
-            counts[alpha] = c
-            scanned += c
-            outcome = outcomes[alpha] = evaluate_profile(plan.n, alpha)
-            failing = _failing(outcome, names)
-            if failing and len(witnesses) < cap:
-                witnesses += _witnesses(find_ideal_with_alpha(plan.n, alpha), failing)
-    else:
-        tasks = [(plan.n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count),
-                  tuple(names)) for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE)]
-        with closing(_pool_map(plan.workers, _sample_task, tasks)) as results:
-            for task_counts, task_outcomes, task_witnesses, task_scanned in results:
-                for key, c in task_counts.items():
-                    counts[key] = counts.get(key, 0) + c
-                outcomes.update(task_outcomes)
-                witnesses += task_witnesses
-                scanned += task_scanned
-                if len(witnesses) >= cap:
-                    break
+        census = ((alpha, c, alpha) for alpha, c in alpha_census(n).items())
+        counts, outcomes, witnesses, scanned = _profile_loop(
+            n, census, names, cap, lambda alpha: (find_ideal_with_alpha(n, alpha), {}))
+        return counts, outcomes, witnesses[:max_witnesses], scanned
+    tasks = [(n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count), tuple(names),
+              min(cap, _WITNESS_CAP_PER_TASK))
+             for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE)]
+    counts, outcomes, witnesses, scanned = {}, {}, [], 0
+    with closing(_pool_map(plan.workers, _sample_task, tasks)) as results:
+        for task_counts, task_outcomes, task_witnesses, task_scanned in results:
+            for key, c in task_counts.items():
+                counts[key] = counts.get(key, 0) + c
+            outcomes.update(task_outcomes)
+            witnesses += task_witnesses
+            scanned += task_scanned
+            if len(witnesses) >= cap:
+                break
     return counts, outcomes, witnesses[:max_witnesses], scanned
 
 
 def _tally_profiles(profile_counts, outcomes):
     """Fold the profile counts and the outcomes of their keys (every key has
-    one) into the VERIFY_CHECKS tallies, the q histogram, and the count of
-    profiles outside the bound-equivalence gate, where that check's verdict
-    is None."""
+    one) into the VERIFY_CHECKS tallies and the q histogram."""
     tallies = {name: CheckerTally() for name in VERIFY_CHECKS}
     q_hist: dict[int, int] = {}
-    gate_excluded = 0
     for key, count in profile_counts.items():
         outcome = outcomes[key]
         q_hist[outcome.q] = q_hist.get(outcome.q, 0) + count
         verdicts = dict(zip(CHECK_ORDER, outcome.verdicts))
-        if verdicts["bound-equivalence"] is None:
-            gate_excluded += count
         for name, t in tallies.items():
             verdict = verdicts[name]
             if verdict is None:
@@ -537,7 +548,7 @@ def _tally_profiles(profile_counts, outcomes):
                 t.failed += count
             else:
                 t.passed += count
-    return tallies, q_hist, gate_excluded
+    return tallies, q_hist
 
 
 def run_verification(plan: EnumerationPlan) -> VerifySummary:
@@ -548,7 +559,7 @@ def run_verification(plan: EnumerationPlan) -> VerifySummary:
     """
     start = time.monotonic()
     counts, outcomes, witnesses, scanned = _scan(plan, VERIFY_CHECKS)
-    tallies, q_hist, gate_excluded = _tally_profiles(counts, outcomes)
+    tallies, q_hist = _tally_profiles(counts, outcomes)
     return VerifySummary(
         n=plan.n,
         mode=plan.mode,
@@ -561,7 +572,6 @@ def run_verification(plan: EnumerationPlan) -> VerifySummary:
         witnesses=witnesses,
         distinct_profiles=len(counts),
         q_histogram=dict(sorted(q_hist.items())),
-        lem_gate_excluded=gate_excluded,
     )
 
 

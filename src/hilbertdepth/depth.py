@@ -28,7 +28,7 @@ from operator import sub
 
 from .combinatorics import _PASCAL, binom, binom_row
 from .errors import DomainError
-from .ideals import AlphaVector, Ideal, alpha_of_ideal, alpha_of_quotient
+from .ideals import Ideal, alpha_of_ideal, alpha_of_quotient
 
 
 def beta_rows(counts):
@@ -162,8 +162,8 @@ class HdepthReport:
     """Everything the checkers need about one proper nonzero ideal."""
 
     ideal: Ideal
-    alpha_quotient: AlphaVector
-    alpha_ideal: AlphaVector
+    alpha_quotient: tuple[int, ...]
+    alpha_ideal: tuple[int, ...]
     hdepth_quotient: int
     hdepth_ideal: int
     beta_triangle_quotient: tuple[tuple[int, ...], ...]
@@ -188,8 +188,8 @@ def hdepth_report(I: Ideal) -> HdepthReport:
         raise DomainError("hdepth report needs a proper ideal (I = S given)")
     a_q = alpha_of_quotient(I)
     a_i = alpha_of_ideal(I)
-    t_q = beta_triangle(a_q.counts)
-    t_i = beta_triangle(a_i.counts)
+    t_q = beta_triangle(a_q)
+    t_i = beta_triangle(a_i)
     return HdepthReport(
         ideal=I,
         alpha_quotient=a_q,

@@ -17,6 +17,7 @@ lattice, held as one big-integer bitset over the 2^n monomial indices: the
 members of an ideal are the upward closure of its generator bits, computed
 with n shift-or passes, and per-degree counts are popcounts against level
 masks.  This caps the computation at n <= ALPHA_N_MAX.
+Alpha vectors are plain tuples (a_0, ..., a_n).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 
-from .combinatorics import N_MAX, binom_row, complement_counts
+from .combinatorics import N_MAX, complement_counts
 from .errors import CapacityError, DomainError, ParseError
 
 ALPHA_N_MAX = 25
@@ -243,32 +244,7 @@ def alpha_counts_of_ideal(n: int, gen_masks) -> tuple[int, ...]:
 
 # --- alpha vectors ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlphaVector:
-    """Counts (a_0, ..., a_n) of squarefree monomials per degree."""
-
-    n: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.n + 1:
-            raise ValueError("alpha vector must have n+1 entries")
-        row = binom_row(self.n)
-        for j, a in enumerate(self.counts):
-            if not 0 <= a <= row[j]:
-                raise ValueError(f"a_{j}={a} outside [0, C({self.n},{j})={row[j]}]")
-
-    def __getitem__(self, j: int) -> int:
-        return self.counts[j]
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-def alpha_vector(J: Ideal, I: Ideal | None = None) -> AlphaVector:
+def alpha_vector(J: Ideal, I: Ideal | None = None) -> tuple[int, ...]:
     """Alpha vector of J/I: counts of squarefree monomials in J but not in I.
 
     I = None (or the zero ideal) counts J itself; J the unit ideal counts the
@@ -283,19 +259,19 @@ def alpha_vector(J: Ideal, I: Ideal | None = None) -> AlphaVector:
     if not (J.is_unit or I.is_zero or J.contains_ideal(I)):
         raise DomainError("alpha_vector: I is not contained in J")
     if J.is_unit:
-        return AlphaVector(n, complement_counts(n, alpha_counts_of_ideal(n, I.gen_masks)))
+        return complement_counts(n, alpha_counts_of_ideal(n, I.gen_masks))
     counts = alpha_counts_of_ideal(n, J.gen_masks)
     if not I.is_zero:
         # I inside J: a_j(J/I) = a_j(J) - a_j(I)
         counts = tuple(map(sub, counts, alpha_counts_of_ideal(n, I.gen_masks)))
-    return AlphaVector(n, counts)
+    return counts
 
 
-def alpha_of_quotient(I: Ideal) -> AlphaVector:
+def alpha_of_quotient(I: Ideal) -> tuple[int, ...]:
     """Alpha vector of S/I."""
     return alpha_vector(Ideal.unit(I.n), I)
 
 
-def alpha_of_ideal(I: Ideal) -> AlphaVector:
+def alpha_of_ideal(I: Ideal) -> tuple[int, ...]:
     """Alpha vector of the ideal I itself."""
     return alpha_vector(I)

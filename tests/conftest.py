@@ -1,0 +1,13 @@
+"""Fixtures shared across test modules."""
+
+import pytest
+
+from hilbertdepth.corpus import alpha_census
+
+
+@pytest.fixture(scope="session")
+def census6():
+    """The n = 6 alpha census, computed once per test session (a few seconds).
+
+    Tests only read it."""
+    return alpha_census(6)

@@ -101,11 +101,10 @@ def test_census_matches_materialized_alpha():
         assert alpha_census(n) == direct
 
 
-def test_census_n6_digest():
+def test_census_n6_digest(census6):
     # the whole n = 6 Counter, as computed by the chunked DFS census that the
     # memoized one replaced
-    census = alpha_census(6)
-    digest = hashlib.sha256(repr(sorted(census.items())).encode()).hexdigest()
+    digest = hashlib.sha256(repr(sorted(census6.items())).encode()).hexdigest()
     assert digest == "0fc64a767915a93fd7f752bc8122ac98b6ef14e6d2ee7f1526616db39a349bdf"
 
 

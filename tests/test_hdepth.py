@@ -129,11 +129,11 @@ def reference_pair(a):
     return q, hdepth(complement_counts(len(a) - 1, a)), beta_values(a, q)
 
 
-def test_hdepth_pair_matches_reference_exactly():
+def test_hdepth_pair_matches_reference_exactly(census6):
     # every census profile for n = 1..6, and the seeded vectors: where S/I or
     # I is zero, hdepth_pair refuses as hdepth does
     for n in range(1, 7):
-        for a in alpha_census(n):
+        for a in census6 if n == 6 else alpha_census(n):
             assert hdepth_pair(a) == reference_pair(a)
     seen = set()
     for n, a, _ in seeded_alpha_vectors():

@@ -1,0 +1,28 @@
+"""The README's library example runs and prints what its comments say."""
+
+import ast
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_block_values():
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", README.read_text(),
+                      re.M | re.S).group(1)
+    namespace: dict = {}
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        value = eval(expression, namespace)
+        # a comment that names a tuple of integers states the line's value
+        stated = re.search(r"\(\d+(?:, \d+)*\)", comment)
+        if stated:
+            assert value == ast.literal_eval(stated.group()), line
+            checked.append(value)
+    assert checked == [(2, 3), (1, 2, 0)]

@@ -4,6 +4,8 @@ No reachable corpus fails the real checks (that is the point of the suite), so
 the witness-found branch is driven by monkeypatched evaluation.
 """
 
+import pytest
+
 from hilbertdepth import corpus
 from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  search_counterexample)
@@ -45,7 +47,8 @@ def test_search_stops_after_first_witness_chunk(monkeypatch):
     assert report.witnesses[0]["sample_index"] == 0
     # stopped after the first chunk instead of scanning all 50k samples
     assert report.instances_scanned == 2000
-    assert stub_calls
+    # the task built only the one witness the search asked for
+    assert len(stub_calls) == 1
 
 
 def test_search_respects_max_witnesses(monkeypatch):
@@ -106,3 +109,18 @@ def test_exhaustive_search_builds_only_max_witnesses(monkeypatch):
     assert report.status == "witnesses-found"
     assert report.instances_scanned == PROPER_IDEAL_COUNTS[4]
     assert len(report.witnesses) == len(calls) == 2
+
+
+@pytest.mark.parametrize("plan", [EnumerationPlan(n=4, mode="exhaustive"),
+                                  EnumerationPlan(n=7, mode="random", sample_count=3000,
+                                                  seed=4)],
+                         ids=["exhaustive", "random"])
+def test_witness_that_does_not_reverify_raises(monkeypatch, plan):
+    # a profile the fast path fails but the report path passes must stop the
+    # run, not be tallied as a failure without a witness
+    monkeypatch.setattr(corpus, "evaluate_profile", _always_failing("main"))
+    monkeypatch.setattr(corpus, "witness_from_ideal", lambda ideal, name: None)
+
+    with pytest.raises(RuntimeError, match=rf"main fails on the profile of n = {plan.n}, "
+                                           r"alpha = \(1, "):
+        search_counterexample(plan, "main", max_witnesses=5)
