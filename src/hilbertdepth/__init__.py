@@ -16,8 +16,8 @@ from .corpus import (EnumerationPlan, SearchReport, VerifySummary,
 from .depth import (HdepthReport, alpha_from_beta, beta_values, hdepth,
                     hdepth_report)
 from .errors import CapacityError, DomainError, ParseError
-from .ideals import (Ideal, Monomial, alpha_of_ideal, alpha_of_quotient,
-                     alpha_vector, parse_ideal)
+from .ideals import (Ideal, alpha_of_ideal, alpha_of_quotient, alpha_vector,
+                     monomial_str, parse_ideal)
 from .theorems import (CHECKS, CheckOutcome, evaluate_profile,
                        reproduce_bound_tables, run_checks)
 
@@ -25,12 +25,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHECKS", "CapacityError", "CheckOutcome", "DomainError",
-    "EnumerationPlan", "HdepthReport", "Ideal", "MacaulayRep", "Monomial",
+    "EnumerationPlan", "HdepthReport", "Ideal", "MacaulayRep",
     "ParseError", "SearchReport", "VerifySummary", "alpha_census",
     "alpha_from_beta", "alpha_of_ideal", "alpha_of_quotient", "alpha_vector",
     "beta_values", "binom", "binom_diff",
     "compressed_complex_ideal", "enumerate_ideals", "evaluate_profile",
     "hdepth", "hdepth_report", "kk_lower_bound", "kk_upper_bound",
-    "macaulay_rep", "parse_ideal", "random_ideal", "reproduce_bound_tables",
-    "run_checks", "run_verification", "search_counterexample",
+    "macaulay_rep", "monomial_str", "parse_ideal", "random_ideal",
+    "reproduce_bound_tables", "run_checks", "run_verification",
+    "search_counterexample",
 ]

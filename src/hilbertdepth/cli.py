@@ -33,8 +33,8 @@ from .corpus import (EnumerationPlan, SearchReport, VerifySummary,
                      sample_rng, search_n_range)
 from .depth import HdepthReport, hdepth_report
 from .errors import CapacityError, DomainError, ParseError
-from .ideals import parse_ideal
-from .theorems import VERIFY_CHECKS, reproduce_bound_tables, run_checks
+from .ideals import monomial_str, parse_ideal
+from .theorems import CHECK_ORDER, VERIFY_CHECKS, reproduce_bound_tables, run_checks
 
 SCHEMA_VERSION = 1
 
@@ -115,7 +115,7 @@ def _report_json(report: HdepthReport) -> dict:
     return {
         "n": report.n,
         "ideal": str(report.ideal),
-        "generators": [str(g) for g in report.ideal.gens],
+        "generators": [monomial_str(g) for g in report.ideal.gens],
         "alpha_quotient": _strs(report.alpha_quotient),
         "alpha_ideal": _strs(report.alpha_ideal),
         "hdepth_quotient": report.hdepth_quotient,
@@ -168,6 +168,8 @@ def _report_csv(report: HdepthReport) -> str:
 def cmd_compute(args) -> int:
     text = args.ideal
     if args.file:
+        if text is not None:
+            raise ValueError("compute takes generator text or --file, not both")
         with open(args.file) as fh:
             text = fh.read()
     if text is None:
@@ -248,8 +250,22 @@ def _verify_csv(n_values, mode, samples, seed, out_path):
     return 1 if failures else 0
 
 
+def _tables_conflicts(args) -> list[str]:
+    """The flags that ``verify --tables`` would ignore: it scans no corpus and
+    writes text or JSON only."""
+    given = {"--format csv": args.format == "csv", "-n": args.n is not None,
+             "--n-range": args.n_range is not None, "--exhaustive": args.exhaustive,
+             "--random": args.random, "--samples": args.samples is not None,
+             "--seed": args.seed is not None}
+    return [flag for flag, present in given.items() if present]
+
+
 def cmd_verify(args) -> int:
     if args.tables:
+        conflicts = _tables_conflicts(args)
+        if conflicts:
+            raise ValueError("--tables scans no corpus and writes no CSV; "
+                             f"drop {', '.join(conflicts)}")
         diffs = reproduce_bound_tables()
         if args.format == "json":
             results = {"table_diffs": diffs, "tables_ok": not diffs}
@@ -339,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification suites, and counterexample search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_corpus=True):
+    def common(p, with_corpus=True, formats=("json", "csv", "text")):
         p.add_argument("-n", type=int, default=None, help="number of variables")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timestamps/host/elapsed for golden files")
@@ -366,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the checker suite over a corpus")
     common(p_verify)
     p_verify.add_argument("--tables", action="store_true",
-                          help="reproduce the published bound tables instead")
+                          help="reproduce the published bound tables instead (no corpus "
+                               "flags, text or JSON only)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser("search", help="scan a corpus for one predicate's failures")
-    common(p_search)
-    p_search.add_argument("--predicate", required=True,
-                          help="main | principal-equivalence | bound-equivalence | "
-                               "q6-bounds | lemma79 | beta47-bound")
+    common(p_search, formats=("json", "text"))
+    p_search.add_argument("--predicate", required=True, choices=CHECK_ORDER,
+                          help="the check whose failures to scan for")
     p_search.add_argument("--max-witnesses", type=_positive_int, default=1)
     p_search.set_defaults(func=cmd_search)
     return parser

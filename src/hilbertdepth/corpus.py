@@ -38,7 +38,7 @@ from math import ceil, comb, log
 
 from .combinatorics import N_MAX, complement_counts
 from .errors import CapacityError
-from .ideals import (ALPHA_N_MAX, Ideal, Monomial, alpha_counts_of_ideal,
+from .ideals import (ALPHA_N_MAX, Ideal, alpha_counts_of_ideal,
                      alpha_of_quotient, minimalize)
 from .theorems import (CHECK_ORDER, VERIFY_CHECKS, evaluate_profile,
                        witness_from_ideal)
@@ -146,21 +146,21 @@ def enumerate_downsets(n: int):
     yield from rec(1, ())
 
 
-def _gens_from_levels(lv: _Levels, leaf: tuple[int, ...]) -> list[int]:
+def _gens_from_levels(lv: _Levels, leaf: tuple[int, ...]) -> tuple[int, ...]:
     """Minimal non-faces of the downset: generator masks, sorted by (degree, mask)."""
     gens = []
     for d in range(1, lv.n + 1):
         chosen, prev = leaf[d - 1], leaf[d - 2] if d > 1 else 0
         gens += [m for i, m in enumerate(lv.masks[d])
                  if not chosen >> i & 1 and lv.facet_bits[d][i] & ~prev == 0]
-    return gens
+    return tuple(gens)
 
 
 def enumerate_ideals(n: int):
     """Yield every proper nonzero squarefree ideal on n variables exactly once."""
     lv = _levels(n)
     for leaf in enumerate_downsets(n):
-        yield Ideal(n, tuple(Monomial(m) for m in _gens_from_levels(lv, leaf)))
+        yield Ideal(n, _gens_from_levels(lv, leaf))
 
 
 def alpha_census(n: int) -> Counter:
@@ -216,7 +216,7 @@ def compressed_complex_ideal(n: int, alpha: tuple[int, ...]) -> Ideal:
     lv = _levels(n) if n <= EXHAUSTIVE_N_MAX else _Levels(n)
     # each level lists its masks in ascending, i.e. colex, order
     leaf = tuple((1 << a) - 1 for a in alpha[1:])
-    ideal = Ideal(n, tuple(Monomial(m) for m in _gens_from_levels(lv, leaf)))
+    ideal = Ideal(n, _gens_from_levels(lv, leaf))
     # the quotient keeps exactly the chosen faces iff the families are closed
     if alpha_of_quotient(ideal) != tuple(alpha):
         raise ValueError("alpha not realizable: its colex families are not a complex")
@@ -328,7 +328,7 @@ def random_ideal(n: int, rng: random.Random) -> Ideal:
         raise ValueError("random_ideal needs n >= 2")
     if n > N_MAX:
         raise CapacityError(f"random_ideal: n={n} exceeds cap {N_MAX}")
-    return Ideal(n, tuple(Monomial(m) for m in random_gen_masks(n, rng)))
+    return Ideal(n, random_gen_masks(n, rng))
 
 
 def sample_rng(seed: int, n: int, index: int) -> random.Random:
@@ -467,7 +467,7 @@ def _sample_task(args):
 
     def realize(source):
         i, masks = source
-        return Ideal(n, tuple(Monomial(m) for m in masks)), {"sample_index": i}
+        return Ideal(n, masks), {"sample_index": i}
 
     return _profile_loop(n, samples(), names, cap, realize)
 

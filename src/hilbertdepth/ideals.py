@@ -2,9 +2,10 @@
 
 A squarefree monomial in x_1..x_n is the subset of variables it uses, stored
 as a bitmask (bit i-1 <-> x_i); its degree is the popcount.  An ideal is its
-minimal generating set, an antichain under divisibility (bitmask inclusion).
-The empty-set monomial 1 as a generator means the unit ideal I = S; no
-generators means the zero ideal.
+minimal generating set, an antichain under divisibility (bitmask inclusion),
+and ``Ideal.gens`` holds it as those masks, plain ints.
+The empty-set monomial 1 (mask 0) as a generator means the unit ideal I = S;
+no generators means the zero ideal.  ``monomial_str`` writes a mask as text.
 
 External grammar: comma-separated products of variables, ``x<digits>`` joined
 by ``*``, whitespace insignificant; the literal ``0`` is the zero ideal and
@@ -35,42 +36,16 @@ ALPHA_N_MAX = 25
 _FACTOR_RE = re.compile(r"^x([0-9]+)$")
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """A squarefree monomial as a variable bitmask (bit i-1 <-> x_i)."""
-
-    mask: int
-
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
-    def divides(self, other: "Monomial") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def variables(self) -> tuple[int, ...]:
-        """1-based indices of the variables appearing in the monomial."""
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m  # the lowest set bit; its bit_length is its variable
-            out.append(low.bit_length())
-            m ^= low
-        return tuple(out)
-
-    @classmethod
-    def from_variables(cls, variables) -> "Monomial":
-        mask = 0
-        for v in variables:
-            if v < 1:
-                raise ValueError(f"variable index {v} must be >= 1")
-            mask |= 1 << (v - 1)
-        return cls(mask)
-
-    def __str__(self) -> str:
-        if self.mask == 0:
-            return "1"
-        return "*".join(f"x{i}" for i in self.variables())
+def monomial_str(mask: int) -> str:
+    """The monomial of a mask as text: ``x1*x3`` for 0b101, ``1`` for 0."""
+    if not mask:
+        return "1"
+    names = []
+    while mask:
+        low = mask & -mask  # the lowest set bit; its bit_length is its variable
+        names.append(f"x{low.bit_length()}")
+        mask ^= low
+    return "*".join(names)
 
 
 def minimalize(masks) -> tuple[int, ...]:
@@ -90,12 +65,14 @@ def minimalize(masks) -> tuple[int, ...]:
 class Ideal:
     """A squarefree monomial ideal given by its minimal generating antichain.
 
-    ``gens`` is sorted by (degree, mask) and is an antichain; construct
-    through ``from_masks``/``parse_ideal`` rather than directly.
+    ``gens`` is a tuple of generator masks, an antichain sorted by (degree,
+    mask) as ``minimalize`` returns it.  ``Ideal(n, masks)`` trusts its masks
+    to be that already (the corpus builds them so); ``from_masks`` and
+    ``parse_ideal`` validate and minimalize outside input.
     """
 
     n: int
-    gens: tuple[Monomial, ...]
+    gens: tuple[int, ...]
 
     def __post_init__(self):
         if not 1 <= self.n <= N_MAX:
@@ -107,7 +84,7 @@ class Ideal:
         for m in masks:
             if m < 0 or m >> n:
                 raise ValueError(f"generator mask {m:#x} uses variables beyond x{n}")
-        return cls(n, tuple(Monomial(m) for m in minimalize(masks)))
+        return cls(n, minimalize(masks))
 
     @classmethod
     def zero(cls, n: int) -> "Ideal":
@@ -115,11 +92,7 @@ class Ideal:
 
     @classmethod
     def unit(cls, n: int) -> "Ideal":
-        return cls(n, (Monomial(0),))
-
-    @property
-    def gen_masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.gens)
+        return cls(n, (0,))
 
     @property
     def is_zero(self) -> bool:
@@ -127,32 +100,27 @@ class Ideal:
 
     @property
     def is_unit(self) -> bool:
-        return bool(self.gens) and self.gens[0].mask == 0
+        return self.gens == (0,)
 
     @property
     def is_principal(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].mask != 0
+        return len(self.gens) == 1 and self.gens[0] != 0
 
     @property
     def in_m2(self) -> bool:
         """True when every generator has degree >= 2 (no linear generators)."""
-        return all(g.degree >= 2 for g in self.gens)
+        return all(g.bit_count() >= 2 for g in self.gens)
 
-    def contains(self, m: Monomial | int) -> bool:
-        """Membership: some generator divides m."""
-        mask = m.mask if isinstance(m, Monomial) else m
-        return any(g.mask & ~mask == 0 for g in self.gens)
+    def contains(self, mask: int) -> bool:
+        """Membership of the monomial ``mask``: some generator divides it."""
+        return any(not g & ~mask for g in self.gens)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """True when other is a subideal, checked generator-wise."""
         return all(self.contains(g) for g in other.gens)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        if self.is_unit:
-            return "1"
-        return ", ".join(str(g) for g in self.gens)
+        return ", ".join(map(monomial_str, self.gens)) if self.gens else "0"
 
 
 def parse_ideal(text: str, n: int) -> Ideal:
@@ -223,7 +191,7 @@ def _lattice(n: int):
     return tuple(clear), tuple(level)
 
 
-def alpha_counts_of_ideal(n: int, gen_masks) -> tuple[int, ...]:
+def alpha_counts_of_ideal(n: int, gens) -> tuple[int, ...]:
     """a_j(I) for the ideal generated by the given masks.
 
     The members of I are the generator bits closed upward (every superset of
@@ -235,7 +203,7 @@ def alpha_counts_of_ideal(n: int, gen_masks) -> tuple[int, ...]:
             f"alpha enumeration walks 2^n subsets; n={n} exceeds cap {ALPHA_N_MAX}")
     clear, level = _lattice(n)
     members = 0
-    for g in gen_masks:
+    for g in gens:
         members |= 1 << g
     for v, c in enumerate(clear):
         members |= (members & c) << (1 << v)
@@ -259,11 +227,11 @@ def alpha_vector(J: Ideal, I: Ideal | None = None) -> tuple[int, ...]:
     if not (J.is_unit or I.is_zero or J.contains_ideal(I)):
         raise DomainError("alpha_vector: I is not contained in J")
     if J.is_unit:
-        return complement_counts(n, alpha_counts_of_ideal(n, I.gen_masks))
-    counts = alpha_counts_of_ideal(n, J.gen_masks)
+        return complement_counts(n, alpha_counts_of_ideal(n, I.gens))
+    counts = alpha_counts_of_ideal(n, J.gens)
     if not I.is_zero:
         # I inside J: a_j(J/I) = a_j(J) - a_j(I)
-        counts = tuple(map(sub, counts, alpha_counts_of_ideal(n, I.gen_masks)))
+        counts = tuple(map(sub, counts, alpha_counts_of_ideal(n, I.gens)))
     return counts
 
 

@@ -70,6 +70,15 @@ def test_compute_file_input(tmp_path, capsys):
     assert "hdepth(S/I) = 1" in out
 
 
+def test_compute_rejects_text_and_file_together(tmp_path, capsys):
+    path = tmp_path / "gens.txt"
+    path.write_text("x1*x2, x2*x3\n")
+    code, out, err = run_cli(capsys, "compute", "-n", "3", "x1*x2*x3", "--file", str(path))
+    assert code == 2
+    assert "--file" in err
+    assert out == ""
+
+
 def test_compute_needs_n(capsys):
     code, out, err = run_cli(capsys, "compute", "x1*x2")
     assert code == 2
@@ -101,6 +110,19 @@ def test_verify_tables(capsys):
     code, out, _ = run_cli(capsys, "verify", "--tables")
     assert code == 0
     assert "all cells match" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--format", "csv"], ["-n", "9"], ["--n-range", "3..4"], ["--exhaustive"],
+    ["--random"], ["--samples", "10"], ["--seed", "1"]],
+    ids=["csv", "n", "n-range", "exhaustive", "random", "samples", "seed"])
+def test_verify_tables_rejects_flags_it_would_ignore(capsys, flags):
+    # the tables scan no corpus and have no CSV form; --workers has a default
+    # and stays accepted
+    code, out, err = run_cli(capsys, "verify", "--tables", "--workers", "2", *flags)
+    assert code == 2
+    assert flags[0] in err
+    assert out == ""
 
 
 def test_verify_exhaustive_text(capsys):
@@ -232,9 +254,23 @@ def test_search_random_inconclusive(capsys):
 
 
 def test_search_unknown_predicate(capsys):
-    code, _, err = run_cli(capsys, "search", "--predicate", "bogus", "-n", "4",
-                           "--exhaustive")
-    assert code == 2
+    # rejected while parsing, before the n = 7 exhaustive plan would fail its
+    # capacity check
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--predicate", "nosuch", "--exhaustive", "-n", "7"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--predicate" in captured.err and "invalid choice" in captured.err
+    assert captured.out == ""
+
+
+def test_search_has_no_csv_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--predicate", "main", "--exhaustive", "-n", "4", "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--format" in captured.err
+    assert captured.out == ""
 
 
 def test_search_deterministic_bytes(capsys):

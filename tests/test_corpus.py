@@ -82,7 +82,7 @@ def test_enumeration_no_duplicates_and_invariants():
             assert ideal not in seen
             seen.add(ideal)
             assert not ideal.is_zero and not ideal.is_unit
-            gens = ideal.gen_masks
+            gens = ideal.gens
             for a in gens:
                 for b in gens:
                     if a != b:
@@ -167,7 +167,7 @@ def test_random_ideal_invariants_fuzz():
     for i in range(3000):
         ideal = random_ideal(9, sample_rng(1, 9, i))
         assert not ideal.is_zero and not ideal.is_unit
-        gens = ideal.gen_masks
+        gens = ideal.gens
         for a in gens:
             for b in gens:
                 if a != b:
@@ -179,7 +179,7 @@ def test_random_ideal_degree_concentration():
     n = 9
     hist = Counter()
     for i in range(20000):
-        for g in random_ideal(n, sample_rng(3, n, i)).gen_masks:
+        for g in random_ideal(n, sample_rng(3, n, i)).gens:
             hist[g.bit_count()] += 1
     total = sum(hist.values())
     inside = sum(c for d, c in hist.items() if 2 <= d <= n - 2)

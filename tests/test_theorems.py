@@ -8,7 +8,7 @@ from hilbertdepth.combinatorics import binom, binom_diff, complement_counts
 from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumerate_ideals,
                                  random_ideal, sample_rng)
 from hilbertdepth.depth import hdepth_report
-from hilbertdepth.ideals import Ideal, Monomial, alpha_of_quotient, parse_ideal
+from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
 from hilbertdepth.theorems import (CHECK_ORDER, CHECKS, VERIFY_CHECKS,
                                    _principal_profiles, evaluate_profile,
                                    principal_alpha_profile, reproduce_bound_tables,
@@ -139,7 +139,7 @@ def test_principal_lookup_matches_alpha_profile_test(census6):
     for n in range(1, 15):
         assert len(_principal_profiles(n)) == n
         for d in range(1, n + 1):
-            ideal = Ideal(n, (Monomial((1 << d) - 1),))
+            ideal = Ideal(n, ((1 << d) - 1,))
             assert _lookup_agrees(n, tuple(alpha_of_quotient(ideal)))
     # seeded samples, where the generator count says the same
     principal = 0
