@@ -26,7 +26,6 @@ import json
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict
 
 from .corpus import (EnumerationPlan, SearchReport, VerifySummary,
                      enumerate_ideals, random_ideal, run_verification,
@@ -199,7 +198,7 @@ def _summary_json(summary: VerifySummary, deterministic: bool) -> dict:
         "seed": summary.seed,
         "workers": summary.workers,
         "distinct_profiles": summary.distinct_profiles,
-        "checks": {name: asdict(t) for name, t in sorted(summary.checks.items())},
+        "checks": {name: vars(t) for name, t in sorted(summary.checks.items())},
         "q_histogram": {str(q): c for q, c in summary.q_histogram.items()},
         "lem_gate_excluded": summary.lem_gate_excluded,
         "witnesses": [_witness_json(w) for w in summary.witnesses],

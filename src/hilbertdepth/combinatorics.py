@@ -22,9 +22,9 @@ binomials are evaluated exactly on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import add, sub
+from typing import NamedTuple
 
 N_MAX = 40
 
@@ -64,8 +64,7 @@ def complement_counts(n: int, counts) -> tuple[int, ...]:
     return tuple(map(sub, binom_row(n), counts))
 
 
-@dataclass(frozen=True)
-class MacaulayRep:
+class MacaulayRep(NamedTuple):
     """A k-binomial representation: terms (top_i, i) with i descending from k.
 
     Invariants: indices form a consecutive descending run k, k-1, ..., j with

@@ -31,10 +31,10 @@ import time
 from bisect import bisect
 from collections import Counter, deque
 from contextlib import closing
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 from math import ceil, comb, log
+from typing import NamedTuple
 
 from .combinatorics import N_MAX, complement_counts
 from .errors import CapacityError
@@ -344,40 +344,41 @@ def _check_random_n(n: int):
         raise CapacityError(f"random mode needs 2 <= n <= {ALPHA_N_MAX}, got {n}")
 
 
-@dataclass(frozen=True)
-class EnumerationPlan:
+class EnumerationPlan(NamedTuple("EnumerationPlan", [
+        ("n", int), ("mode", str), ("sample_count", int), ("seed", int | None), ("workers", int)])):
     """What corpus to scan: exhaustive at small n, or seeded random samples."""
 
-    n: int
-    mode: str  # "exhaustive" | "random"
-    sample_count: int = 0
-    seed: int | None = None
-    workers: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "exhaustive":
-            _check_exhaustive_n(self.n)
+    def __new__(cls, n: int, mode: str, sample_count: int = 0, seed: int | None = None,
+                workers: int = 1):
+        if mode not in ("exhaustive", "random"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "exhaustive":
+            _check_exhaustive_n(n)
         else:
-            _check_random_n(self.n)
-            if self.sample_count < 1:
+            _check_random_n(n)
+            if sample_count < 1:
                 raise ValueError("random mode needs sample_count >= 1")
-            if self.seed is None:
+            if seed is None:
                 raise ValueError("random mode needs an explicit seed")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers must be >= 1")
+        return super().__new__(cls, n, mode, sample_count, seed, workers)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
 
-@dataclass
 class CheckerTally:
-    applicable: int = 0
-    passed: int = 0
-    failed: int = 0
+    """One check's counts over a corpus, added to in place by ``_tally_profiles``."""
+
+    def __init__(self):
+        self.applicable = self.passed = self.failed = 0
 
 
-@dataclass
-class VerifySummary:
+class VerifySummary(NamedTuple):
     n: int
     mode: str
     scanned: int
@@ -400,8 +401,7 @@ class VerifySummary:
         return self.scanned - self.checks["bound-equivalence"].applicable
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     predicate: str
     n_values: tuple[int, ...]
     mode: str

@@ -21,10 +21,10 @@ row at q from one walk over packed rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import sub
+from typing import NamedTuple
 
 from .combinatorics import _PASCAL, binom, binom_row
 from .errors import DomainError
@@ -157,8 +157,7 @@ def hdepth_pair(counts) -> tuple[int, int, tuple[int, ...]]:
     return q, h, tuple(top >> w * k & field for k in range(q + 1))
 
 
-@dataclass(frozen=True)
-class HdepthReport:
+class HdepthReport(NamedTuple):
     """Everything the checkers need about one proper nonzero ideal."""
 
     ideal: Ideal

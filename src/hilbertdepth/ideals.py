@@ -24,9 +24,9 @@ Alpha vectors are plain tuples (a_0, ..., a_n).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
+from typing import NamedTuple
 
 from .combinatorics import N_MAX, complement_counts
 from .errors import CapacityError, DomainError, ParseError
@@ -61,22 +61,25 @@ def minimalize(masks) -> tuple[int, ...]:
     return tuple(result)
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(NamedTuple("Ideal", [("n", int), ("gens", tuple[int, ...])])):
     """A squarefree monomial ideal given by its minimal generating antichain.
 
     ``gens`` is a tuple of generator masks, an antichain sorted by (degree,
     mask) as ``minimalize`` returns it.  ``Ideal(n, masks)`` trusts its masks
-    to be that already (the corpus builds them so); ``from_masks`` and
-    ``parse_ideal`` validate and minimalize outside input.
+    to be that already (the corpus builds them so) and checks only n;
+    ``from_masks`` and ``parse_ideal`` validate and minimalize outside input.
     """
 
-    n: int
-    gens: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.n <= N_MAX:
-            raise CapacityError(f"ideal: n={self.n} outside supported range [1, {N_MAX}]")
+    def __new__(cls, n: int, gens: tuple[int, ...]):
+        if not 1 <= n <= N_MAX:
+            raise CapacityError(f"ideal: n={n} outside supported range [1, {N_MAX}]")
+        return super().__new__(cls, n, gens)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks n too
+        return cls(*fields)
 
     @classmethod
     def from_masks(cls, n: int, masks) -> "Ideal":

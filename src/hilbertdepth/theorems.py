@@ -34,7 +34,6 @@ and diffs them cell by cell against the published rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -148,8 +147,7 @@ def _principal_profiles(n: int) -> frozenset:
 
 # --- checkers over full reports ----------------------------------------------
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """One predicate's verdict on one report, and its witness when it fails."""
 
     name: str
@@ -236,8 +234,7 @@ def evaluate_profile(n: int, alpha_sf) -> ProfileOutcome:
 
 # --- published difference tables ----------------------------------------------
 
-@dataclass(frozen=True)
-class BoundTable:
+class BoundTable(NamedTuple):
     """One published table of x -> C(x,k) - c*C(x,k-1) rows.
 
     ``group`` names the bound derivation the table supports (level q, entry k);

@@ -169,6 +169,18 @@ def test_import_leaves_pool_and_platform_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # the records are NamedTuples: importing dataclasses (and with it inspect)
+    # cost every launch several milliseconds
+    probe = ("import sys; import hilbertdepth.cli; "
+             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_random_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--random", "-n", "7",
                            "--samples", "400", "--seed", "11",

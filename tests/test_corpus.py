@@ -234,6 +234,17 @@ def test_plan_validation():
         EnumerationPlan(n=5, mode="exhaustive", workers=0)
 
 
+def test_plan_is_immutable_and_replace_checks():
+    plan = EnumerationPlan(n=5, mode="exhaustive")
+    with pytest.raises(AttributeError):
+        plan.workers = 2
+    assert plan._replace(workers=2) == EnumerationPlan(n=5, mode="exhaustive", workers=2)
+    with pytest.raises(ValueError):
+        plan._replace(workers=0)
+    with pytest.raises(ValueError):
+        plan._replace(mode="random")  # no seed, no samples
+
+
 def test_run_verification_exhaustive_small():
     summary = run_verification(EnumerationPlan(n=4, mode="exhaustive"))
     assert summary.scanned == PROPER_IDEAL_COUNTS[4]

@@ -1,6 +1,5 @@
 """Beta tables, inversion, and the depth criterion."""
 
-import dataclasses
 import random
 from math import comb
 
@@ -237,5 +236,5 @@ def test_beta_triangle_in_report():
 
 def test_report_is_frozen():
     r = hdepth_report(parse_ideal("x1*x2", 2))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.hdepth_quotient = 5

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hilbertdepth.combinatorics import binom, binom_row, macaulay_rep, kk_lower_bound, kk_upper_bound
+from hilbertdepth.combinatorics import (N_MAX, binom, binom_row, macaulay_rep, kk_lower_bound,
+                                        kk_upper_bound)
 from hilbertdepth.corpus import enumerate_ideals, random_ideal, sample_rng
 from hilbertdepth.errors import CapacityError, DomainError, ParseError
 from hilbertdepth.ideals import (ALPHA_N_MAX, Ideal, _lattice,
@@ -91,6 +92,21 @@ def test_monomial_variables_match_bit_scan():
     for m in range(1, 1 << 12):
         assert monomial_str(m) == "*".join(
             f"x{i + 1}" for i in range(m.bit_length()) if m >> i & 1)
+
+
+def test_ideal_checks_n_and_is_immutable():
+    for n in (0, N_MAX + 1):
+        with pytest.raises(CapacityError):
+            Ideal(n, ())
+    I = Ideal(3, (0b011,))
+    with pytest.raises(CapacityError):
+        I._replace(n=0)
+    with pytest.raises(AttributeError):
+        I.gens = ()
+    with pytest.raises(AttributeError):
+        I.label = "no new attributes either"
+    J = parse_ideal("x2*x1", 3)
+    assert J == I and hash(J) == hash(I) and len({I, J}) == 1
 
 
 def test_contains_examples():

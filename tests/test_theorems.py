@@ -1,7 +1,5 @@
 """Checkers, the fast profile evaluator, and the published bound tables."""
 
-import dataclasses
-
 import pytest
 
 from hilbertdepth.combinatorics import binom, binom_diff, complement_counts
@@ -87,7 +85,7 @@ def test_lemma79_gating_and_constructed_instance():
 
 def test_witness_structure_on_forced_failure():
     r = hdepth_report(parse_ideal("x1*x2, x2*x3", 3))
-    broken = dataclasses.replace(r, hdepth_ideal=0)
+    broken = r._replace(hdepth_ideal=0)
     out = CHECKS["main"](broken)
     assert out.applicable and not out.passed
     w = out.witness
@@ -207,6 +205,12 @@ def test_n9_q7_counterexample_pinned():
 def test_run_checks_default_set():
     outcomes = run_checks(hdepth_report(parse_ideal("x1*x2", 3)))
     assert [o.name for o in outcomes] == list(VERIFY_CHECKS)
+
+
+def test_check_outcome_is_immutable():
+    outcome = run_checks(hdepth_report(parse_ideal("x1*x2", 3)))[0]
+    with pytest.raises(AttributeError):
+        outcome.verdict = "forged"
 
 
 # --- published tables ------------------------------------------------------------
