@@ -65,20 +65,15 @@ def _positive_int(text: str) -> int:
 
 
 def _n_values(args) -> list[int]:
-    if args.n_range is not None:
-        return args.n_range
-    if args.n is not None:
-        return [args.n]
-    raise ValueError("one of -n or --n-range is required")
+    if args.n is None and args.n_range is None:
+        raise ValueError("one of -n or --n-range is required")
+    return args.n_range or [args.n]
 
 
 def _corpus_mode(args, default: str) -> str:
-    """"random" or "exhaustive" from the flags; a random corpus needs a seed
-    and a sample count."""
-    mode = "random" if args.random else "exhaustive" if args.exhaustive else default
-    if mode == "random" and (args.seed is None or not args.samples):
-        raise ValueError("a random corpus needs --seed and --samples")
-    return mode
+    """"random" or "exhaustive" from the flags; ``EnumerationPlan`` checks the
+    rest of the corpus."""
+    return "random" if args.random else "exhaustive" if args.exhaustive else default
 
 
 def _emit(text: str, out_path: str | None):
@@ -228,18 +223,20 @@ def _summary_text(summary: VerifySummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _verify_csv(n_values, mode, samples, seed, out_path):
-    """Flat per-ideal rows, in one process, each written as it is computed (an
-    ``--out`` file is line buffered, so it grows row by row); materializes
-    every ideal, so exhaustive mode is intended for small n here."""
+def _verify_csv(plans, out_path):
+    """The plans' corpora as flat per-ideal rows, in one process, each written
+    as it is computed (an ``--out`` file is line buffered, so it grows row by
+    row); every ideal is materialized, so keep exhaustive n small here."""
     with open(out_path, "w", buffering=1) if out_path else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)
-        nmax = max(n_values)
+        nmax = max(plan.n for plan in plans)
         writer.writerow(_csv_header(nmax) + list(VERIFY_CHECKS))
         failures = 0
-        for n in n_values:
-            ideals = (enumerate_ideals(n) if mode == "exhaustive" else
-                      (random_ideal(n, sample_rng(seed, n, i)) for i in range(samples)))
+        for plan in plans:
+            n = plan.n
+            ideals = (enumerate_ideals(n) if plan.mode == "exhaustive" else
+                      (random_ideal(n, sample_rng(plan.seed, n, i))
+                       for i in range(plan.sample_count)))
             for ideal in ideals:
                 report = hdepth_report(ideal)
                 outcomes = run_checks(report)
@@ -287,7 +284,7 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         if args.workers != 1:
             raise ValueError("--format csv runs in one process; --workers must be 1")
-        return _verify_csv(n_values, mode, args.samples, args.seed, args.out)
+        return _verify_csv(plans, args.out)
 
     summaries = [run_verification(plan) for plan in plans]
     total_failures = sum(s.total_failures for s in summaries)
@@ -355,14 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_corpus=True, formats=("json", "csv", "text")):
-        p.add_argument("-n", type=int, default=None, help="number of variables")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timestamps/host/elapsed for golden files")
+        n_flags = p.add_mutually_exclusive_group() if with_corpus else p
+        n_flags.add_argument("-n", type=int, default=None, help="number of variables")
         if with_corpus:
-            p.add_argument("--n-range", type=_parse_n_range, default=None,
-                           metavar="A..B", help="inclusive range of n values")
+            n_flags.add_argument("--n-range", type=_parse_n_range, default=None,
+                                 metavar="A..B", help="inclusive range of n values")
             corpus = p.add_mutually_exclusive_group()
             corpus.add_argument("--exhaustive", action="store_true")
             corpus.add_argument("--random", action="store_true")

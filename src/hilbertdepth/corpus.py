@@ -338,15 +338,13 @@ def sample_rng(seed: int, n: int, index: int) -> random.Random:
 
 # --- plans and reports -----------------------------------------------------------
 
-def _check_random_n(n: int):
-    # each sample's alpha counts walk the 2^n subset lattice
-    if not 2 <= n <= ALPHA_N_MAX:
-        raise CapacityError(f"random mode needs 2 <= n <= {ALPHA_N_MAX}, got {n}")
-
-
 class EnumerationPlan(NamedTuple("EnumerationPlan", [
         ("n", int), ("mode", str), ("sample_count", int), ("seed", int | None), ("workers", int)])):
-    """What corpus to scan: exhaustive at small n, or seeded random samples."""
+    """What corpus to scan: exhaustive at small n, or seeded random samples.
+
+    Every corpus rule is checked here: an exhaustive corpus draws nothing, so
+    it takes no seed or sample count, and a random one needs both.
+    """
 
     __slots__ = ()
 
@@ -356,12 +354,16 @@ class EnumerationPlan(NamedTuple("EnumerationPlan", [
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "exhaustive":
             _check_exhaustive_n(n)
+            if seed is not None or sample_count:
+                raise ValueError("an exhaustive corpus draws no samples: it takes no seed or "
+                                 f"sample count, got seed={seed}, sample_count={sample_count}")
         else:
-            _check_random_n(n)
-            if sample_count < 1:
-                raise ValueError("random mode needs sample_count >= 1")
-            if seed is None:
-                raise ValueError("random mode needs an explicit seed")
+            # each sample's alpha counts walk the 2^n subset lattice
+            if not 2 <= n <= ALPHA_N_MAX:
+                raise CapacityError(f"random mode needs 2 <= n <= {ALPHA_N_MAX}, got {n}")
+            if seed is None or sample_count < 1:
+                raise ValueError("a random corpus needs a seed and a sample count >= 1, "
+                                 f"got seed={seed}, sample_count={sample_count}")
         if workers < 1:
             raise ValueError("workers must be >= 1")
         return super().__new__(cls, n, mode, sample_count, seed, workers)
@@ -419,29 +421,26 @@ _SAMPLE_TASK_SIZE = 2000
 
 
 def _profile_loop(n: int, items, names, cap, realize):
-    """Evaluate each distinct profile of ``items`` once: (profile counts,
-    outcomes, witnesses, scanned).
+    """Evaluate each distinct profile of ``items`` once: (profiles, witnesses).
 
-    ``items`` yields (alpha(S/I), count, source); ``outcomes`` holds the
-    ProfileOutcome of every key of the profile counts.  Until the loop holds
-    ``cap`` witnesses, the first source of each profile failing any of
-    ``names`` is realized, as ``realize(source) -> (ideal, extra fields)``,
-    into one witness per failing check, each from a fresh full evaluation.
-    A witness that does not re-verify raises RuntimeError: the profile
-    evaluation and the report path disagree.
+    ``items`` yields (alpha(S/I), count, source), and ``profiles[alpha]`` is
+    ``[count, ProfileOutcome]``, the count summed over the items.  Until the
+    loop holds ``cap`` witnesses, the first source of each profile failing
+    any of ``names`` is realized, as ``realize(source) -> (ideal, extra
+    fields)``, into one witness per failing check, each from a fresh full
+    evaluation.  A witness that does not re-verify raises RuntimeError: the
+    profile evaluation and the report path disagree.
     """
     positions = [(name, CHECK_ORDER.index(name)) for name in names]
-    counts: dict[tuple, int] = {}
-    outcomes: dict[tuple, tuple] = {}
+    profiles: dict[tuple, list] = {}
     witnesses: list[dict] = []
-    scanned = 0
     for alpha, count, source in items:
-        scanned += count
-        if alpha in counts:
-            counts[alpha] += count
+        profile = profiles.get(alpha)
+        if profile is not None:
+            profile[0] += count
             continue
-        counts[alpha] = count
-        outcome = outcomes[alpha] = evaluate_profile(n, alpha)
+        outcome = evaluate_profile(n, alpha)
+        profiles[alpha] = [count, outcome]
         failing = [name for name, pos in positions if outcome.verdicts[pos]]
         if failing and len(witnesses) < cap:
             ideal, extra = realize(source)
@@ -451,7 +450,7 @@ def _profile_loop(n: int, items, names, cap, realize):
                     raise RuntimeError(f"{name} fails on the profile of n = {n}, alpha = "
                                        f"{alpha}, but its witness {ideal} does not re-verify")
                 witnesses.append(witness | extra)
-    return counts, outcomes, witnesses, scanned
+    return profiles, witnesses
 
 
 def _sample_task(args):
@@ -472,13 +471,14 @@ def _sample_task(args):
     return _profile_loop(n, samples(), names, cap, realize)
 
 
-def _pool_map(workers: int, fn, tasks: list):
-    """Yield fn(task) for every task, in task order.
+def _pool_map(workers: int, fn, tasks):
+    """Yield fn(task) for every task of the iterable ``tasks``, in task order.
 
-    With more than one worker and task, at most workers + 2 tasks are in
-    flight; closing the generator early cancels the tasks not yet started.
+    Tasks are drawn only as they start: one worker runs them in this process,
+    and more keep at most workers + 2 in flight; closing the generator early
+    cancels the tasks not yet started and draws no more.
     """
-    if workers <= 1 or len(tasks) <= 1:
+    if workers <= 1:
         yield from map(fn, tasks)
         return
     # imported here: the pool's modules cost every launch ~30 ms, and one worker never needs them
@@ -496,11 +496,10 @@ def _pool_map(workers: int, fn, tasks: list):
 
 
 def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
-    """Scan the plan's corpus through ``_profile_loop``: (profile counts,
-    outcomes, witnesses, scanned).
+    """Scan the plan's corpus through ``_profile_loop``: (profiles, witnesses).
 
     Exhaustive mode feeds it the alpha census in this process, realizing a
-    witness from its profile's compressed complex.  Random mode runs the
+    witness from its profile's compressed complex.  Random mode streams the
     sample tasks through the pool, each building at most
     min(``max_witnesses``, _WITNESS_CAP_PER_TASK) witnesses, merges them in
     task order, and stops after the task that brings the witness count to
@@ -511,36 +510,33 @@ def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
     cap = float("inf") if max_witnesses is None else max_witnesses
     if plan.mode == "exhaustive":
         census = ((alpha, c, alpha) for alpha, c in alpha_census(n).items())
-        counts, outcomes, witnesses, scanned = _profile_loop(
+        profiles, witnesses = _profile_loop(
             n, census, names, cap, lambda alpha: (find_ideal_with_alpha(n, alpha), {}))
-        return counts, outcomes, witnesses[:max_witnesses], scanned
-    tasks = [(n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count), tuple(names),
+        return profiles, witnesses[:max_witnesses]
+    tasks = ((n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count), tuple(names),
               min(cap, _WITNESS_CAP_PER_TASK))
-             for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE)]
-    counts, outcomes, witnesses, scanned = {}, {}, [], 0
-    with closing(_pool_map(plan.workers, _sample_task, tasks)) as results:
-        for task_counts, task_outcomes, task_witnesses, task_scanned in results:
-            for key, c in task_counts.items():
-                counts[key] = counts.get(key, 0) + c
-            outcomes.update(task_outcomes)
+             for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE))
+    # one task needs no pool
+    workers = plan.workers if plan.sample_count > _SAMPLE_TASK_SIZE else 1
+    profiles, witnesses = {}, []
+    with closing(_pool_map(workers, _sample_task, tasks)) as results:
+        for task_profiles, task_witnesses in results:
+            for alpha, (count, outcome) in task_profiles.items():
+                profiles.setdefault(alpha, [0, outcome])[0] += count
             witnesses += task_witnesses
-            scanned += task_scanned
             if len(witnesses) >= cap:
                 break
-    return counts, outcomes, witnesses[:max_witnesses], scanned
+    return profiles, witnesses[:max_witnesses]
 
 
-def _tally_profiles(profile_counts, outcomes):
-    """Fold the profile counts and the outcomes of their keys (every key has
-    one) into the VERIFY_CHECKS tallies and the q histogram."""
+def _tally_profiles(profiles):
+    """Fold the profiles into the VERIFY_CHECKS tallies and the q histogram."""
     tallies = {name: CheckerTally() for name in VERIFY_CHECKS}
     q_hist: dict[int, int] = {}
-    for key, count in profile_counts.items():
-        outcome = outcomes[key]
+    for count, outcome in profiles.values():
         q_hist[outcome.q] = q_hist.get(outcome.q, 0) + count
-        verdicts = dict(zip(CHECK_ORDER, outcome.verdicts))
-        for name, t in tallies.items():
-            verdict = verdicts[name]
+        # VERIFY_CHECKS is a prefix of CHECK_ORDER, the order of the verdicts
+        for t, verdict in zip(tallies.values(), outcome.verdicts):
             if verdict is None:
                 continue
             t.applicable += count
@@ -558,19 +554,19 @@ def run_verification(plan: EnumerationPlan) -> VerifySummary:
     samples.  Failing profiles are materialized into re-verified witnesses.
     """
     start = time.monotonic()
-    counts, outcomes, witnesses, scanned = _scan(plan, VERIFY_CHECKS)
-    tallies, q_hist = _tally_profiles(counts, outcomes)
+    profiles, witnesses = _scan(plan, VERIFY_CHECKS)
+    tallies, q_hist = _tally_profiles(profiles)
     return VerifySummary(
         n=plan.n,
         mode=plan.mode,
-        scanned=scanned,
+        scanned=sum(count for count, _ in profiles.values()),
         elapsed=time.monotonic() - start,
         seed=plan.seed,
         sample_count=plan.sample_count,
         workers=plan.workers,
         checks=tallies,
         witnesses=witnesses,
-        distinct_profiles=len(counts),
+        distinct_profiles=len(profiles),
         q_histogram=dict(sorted(q_hist.items())),
     )
 
@@ -593,7 +589,8 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
     if predicate not in CHECK_ORDER:
         raise ValueError(f"unknown predicate {predicate!r}")
     start = time.monotonic()
-    _, _, witnesses, scanned = _scan(plan, (predicate,), max_witnesses)
+    profiles, witnesses = _scan(plan, (predicate,), max_witnesses)
+    scanned = sum(count for count, _ in profiles.values())
     return SearchReport(predicate, (plan.n,), plan.mode, scanned, witnesses,
                         time.monotonic() - start, plan.seed,
                         _search_status(plan.mode, witnesses))
@@ -608,16 +605,12 @@ def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
     ones take the remainder; an n whose share is 0 is skipped).  The search
     stops at the first n that brings the witness count to ``max_witnesses``.
     """
-    # every n is checked before the first scan, an n with no share too
+    # every n is checked, as the request gives it, before the first scan
+    plans = [EnumerationPlan(n, mode, sample_count, seed, workers) for n in n_values]
     if mode == "random":
-        for n in n_values:
-            _check_random_n(n)
-        share, extra = divmod(sample_count, len(n_values))
-        counts = [share + (1 if i < extra else 0) for i in range(len(n_values))]
-        plans = [EnumerationPlan(n=n, mode=mode, sample_count=c, seed=seed, workers=workers)
-                 for n, c in zip(n_values, counts) if c]
-    else:
-        plans = [EnumerationPlan(n=n, mode=mode, workers=workers) for n in n_values]
+        share, extra = divmod(sample_count, len(plans))
+        plans = [plan._replace(sample_count=share + (i < extra))
+                 for i, plan in enumerate(plans) if share or i < extra]
     per_n: list[SearchReport] = []
     witnesses: list[dict] = []
     for plan in plans:

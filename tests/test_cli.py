@@ -169,6 +169,24 @@ def test_import_leaves_pool_and_platform_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("samples,workers", [("2000", "2"), ("4001", "1")],
+                         ids=["one-task", "one-worker"])
+def test_in_process_runs_leave_pool_unloaded(samples, workers):
+    # the sample tasks are streamed, so whether the pool starts cannot rest on
+    # counting them: one task, like one worker, runs in this process
+    probe = ("import sys; from hilbertdepth.cli import main; "
+             f"main(['verify', '--random', '-n', '7', '--samples', '{samples}', '--seed', '1', "
+             f"'--workers', '{workers}', '--format', 'json']); "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')), file=sys.stderr)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout)["results"]["summaries"][0]["scanned"] == int(samples)
+    assert proc.stderr.strip() == "[]"
+
+
 def test_import_leaves_dataclasses_and_inspect_unloaded():
     # the records are NamedTuples: importing dataclasses (and with it inspect)
     # cost every launch several milliseconds
@@ -196,8 +214,10 @@ def test_verify_random_json(capsys):
 def test_verify_random_needs_seed(capsys):
     code, _, err = run_cli(capsys, "verify", "--random", "-n", "7", "--samples", "10")
     assert code == 2
+    assert "needs a seed" in err and "seed=None" in err
     code, _, err = run_cli(capsys, "verify", "--random", "-n", "7", "--seed", "1")
     assert code == 2
+    assert "sample count >= 1" in err and "sample_count=0" in err
     code, _, err = run_cli(capsys, "verify", "--exhaustive")
     assert code == 2  # needs -n or --n-range
 
@@ -317,6 +337,31 @@ def test_exhaustive_and_random_conflict(capsys):
             main(argv)
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["search", "--predicate", "main"]],
+                         ids=["verify", "search"])
+def test_n_and_n_range_conflict(capsys, command):
+    # one of them would be dropped silently: -n 5 beside --n-range 1..2 scanned n = 1, 2
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--exhaustive", "-n", "5", "--n-range", "1..2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--format", "json"], ["verify", "--format", "text"],
+    ["verify", "--format", "csv"], ["search", "--predicate", "main", "--format", "json"],
+], ids=["verify-json", "verify-text", "verify-csv", "search"])
+def test_exhaustive_corpus_rejects_seed_and_samples(capsys, command):
+    # a census draws nothing, so it must not echo a seed or sample count it ignored
+    for draws in (["--seed", "9"], ["--samples", "10"], ["--seed", "9", "--samples", "10"]):
+        code, out, err = run_cli(capsys, *command, "--exhaustive", "-n", "3", *draws)
+        assert code == 2, draws
+        assert out == ""
+        assert "exhaustive corpus" in err and "no seed or sample count" in err
 
 
 def test_max_witnesses_must_be_positive(capsys):

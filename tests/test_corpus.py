@@ -232,6 +232,10 @@ def test_plan_validation():
         EnumerationPlan(n=5, mode="bogus")
     with pytest.raises(ValueError):
         EnumerationPlan(n=5, mode="exhaustive", workers=0)
+    with pytest.raises(ValueError):
+        EnumerationPlan(n=5, mode="exhaustive", seed=1)
+    with pytest.raises(ValueError):
+        EnumerationPlan(n=5, mode="exhaustive", sample_count=10)
 
 
 def test_plan_is_immutable_and_replace_checks():

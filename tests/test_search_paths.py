@@ -4,6 +4,8 @@ No reachable corpus fails the real checks (that is the point of the suite), so
 the witness-found branch is driven by monkeypatched evaluation.
 """
 
+import tracemalloc
+
 import pytest
 
 from hilbertdepth import corpus
@@ -49,6 +51,23 @@ def test_search_stops_after_first_witness_chunk(monkeypatch):
     assert report.instances_scanned == 2000
     # the task built only the one witness the search asked for
     assert len(stub_calls) == 1
+
+
+def test_huge_budget_search_stays_in_bounded_memory(monkeypatch):
+    # the sample tasks are drawn as they run: a search that stops after its
+    # first task of a 10^9-sample plan never builds the other 499,999
+    monkeypatch.setattr(corpus, "evaluate_profile", _always_failing("main"))
+    monkeypatch.setattr(corpus, "witness_from_ideal", _stub_witness)
+
+    plan = EnumerationPlan(n=7, mode="random", sample_count=10**9, seed=4)
+    tracemalloc.start()
+    try:
+        report = search_counterexample(plan, "main", max_witnesses=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.instances_scanned == 2000
+    assert peak < 4 * 2**20
 
 
 def test_search_respects_max_witnesses(monkeypatch):
