@@ -8,7 +8,8 @@ Subcommands:
   corpus (or reproduce the published bound tables with ``--tables``);
 * ``search``  -- scan a corpus for failures of one named predicate.
 
-Exit codes: 0 ok/inconclusive, 1 verification failure, 2 usage/parse error,
+Exit codes: 0 ok/inconclusive, 1 verification failure, 2 usage/parse error
+or I/O error (a missing ``--file``, an unwritable ``--out``, a closed stdout),
 3 domain error, 4 capacity error.
 
 JSON output is ``{schema_version, command, config, results}``; alpha and beta
@@ -76,23 +77,24 @@ def _corpus_mode(args, default: str) -> str:
     return "random" if args.random else "exhaustive" if args.exhaustive else default
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
+def _output(args, config: dict, results: dict, text: str):
+    """Write a command's results to stdout or ``--out``: under ``--format json``
+    the ``{schema_version, command, config, results}`` payload, stamped unless
+    ``--deterministic``; otherwise ``text``, the form the format asked for."""
+    if args.format == "json":
+        payload: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
+        if not args.deterministic:
+            payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+            import platform  # only non-deterministic payloads name the host
+            payload["host"] = platform.node()
+        payload["config"] = config
+        payload["results"] = results
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_payload(command: str, config: dict, results: dict, deterministic: bool) -> str:
-    payload: dict = {"schema_version": SCHEMA_VERSION, "command": command}
-    if not deterministic:
-        payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        import platform  # only non-deterministic payloads name the host
-        payload["host"] = platform.node()
-    payload["config"] = config
-    payload["results"] = results
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _witness_json(w: dict) -> dict:
@@ -130,13 +132,11 @@ def _report_text(report: HdepthReport) -> str:
         f"hdepth(I)   = {report.hdepth_ideal}",
         f"principal: {'yes' if report.principal else 'no'}"
         f"   contained in m^2: {'yes' if report.in_m2 else 'no'}",
-        "beta tables for S/I:",
     ]
-    lines += [f"  d={d}: {' '.join(map(str, row))}"
-              for d, row in enumerate(report.beta_triangle_quotient)]
-    lines.append("beta tables for I:")
-    lines += [f"  d={d}: {' '.join(map(str, row))}"
-              for d, row in enumerate(report.beta_triangle_ideal)]
+    for side, triangle in (("S/I", report.beta_triangle_quotient),
+                           ("I", report.beta_triangle_ideal)):
+        lines.append(f"beta tables for {side}:")
+        lines += [f"  d={d}: {' '.join(map(str, row))}" for d, row in enumerate(triangle)]
     return "\n".join(lines) + "\n"
 
 
@@ -161,24 +161,12 @@ def _report_csv(report: HdepthReport) -> str:
 
 def cmd_compute(args) -> int:
     text = args.ideal
-    if args.file:
-        if text is not None:
-            raise ValueError("compute takes generator text or --file, not both")
+    if args.file is not None:
         with open(args.file) as fh:
             text = fh.read()
-    if text is None:
-        raise ValueError("compute needs generator text or --file")
-    if args.n is None:
-        raise ValueError("compute needs -n, the number of variables")
     report = hdepth_report(parse_ideal(text, args.n))
-    if args.format == "json":
-        config = {"n": args.n, "ideal": text.strip()}
-        _emit(_json_payload("compute", config, _report_json(report), args.deterministic),
-              args.out)
-    elif args.format == "csv":
-        _emit(_report_csv(report), args.out)
-    else:
-        _emit(_report_text(report), args.out)
+    _output(args, {"n": args.n, "ideal": text.strip()}, _report_json(report),
+            _report_csv(report) if args.format == "csv" else _report_text(report))
     return 0
 
 
@@ -263,16 +251,11 @@ def cmd_verify(args) -> int:
             raise ValueError("--tables scans no corpus and writes no CSV; "
                              f"drop {', '.join(conflicts)}")
         diffs = reproduce_bound_tables()
-        if args.format == "json":
-            results = {"table_diffs": diffs, "tables_ok": not diffs}
-            _emit(_json_payload("verify", {"tables": True}, results, args.deterministic),
-                  args.out)
-        else:
-            text = ("bound tables: all cells match\n" if not diffs else
-                    "".join(f"DIFF {d['table']} {d['row']} x={d['x']}: "
-                            f"expected {d['expected']}, computed {d['computed']}\n"
-                            for d in diffs))
-            _emit(text, args.out)
+        _output(args, {"tables": True}, {"table_diffs": diffs, "tables_ok": not diffs},
+                "bound tables: all cells match\n" if not diffs else
+                "".join(f"DIFF {d['table']} {d['row']} x={d['x']}: "
+                        f"expected {d['expected']}, computed {d['computed']}\n"
+                        for d in diffs))
         return 0 if not diffs else 1
 
     n_values = _n_values(args)
@@ -288,17 +271,13 @@ def cmd_verify(args) -> int:
 
     summaries = [run_verification(plan) for plan in plans]
     total_failures = sum(s.total_failures for s in summaries)
-
-    if args.format == "json":
-        config = {"n_values": n_values, "mode": mode, "samples": args.samples,
-                  "seed": args.seed, "workers": args.workers}
-        results = {"summaries": [_summary_json(s, args.deterministic) for s in summaries],
-                   "total_failures": total_failures}
-        _emit(_json_payload("verify", config, results, args.deterministic), args.out)
-    else:
-        text = "".join(_summary_text(s) for s in summaries)
-        text += f"RESULT: {'PASS' if total_failures == 0 else 'FAIL'} ({total_failures} failures)\n"
-        _emit(text, args.out)
+    config = {"n_values": n_values, "mode": mode, "samples": args.samples,
+              "seed": args.seed, "workers": args.workers}
+    results = {"summaries": [_summary_json(s, args.deterministic) for s in summaries],
+               "total_failures": total_failures}
+    text = "".join(_summary_text(s) for s in summaries)
+    text += f"RESULT: {'PASS' if total_failures == 0 else 'FAIL'} ({total_failures} failures)\n"
+    _output(args, config, results, text)
     return 1 if total_failures else 0
 
 
@@ -324,21 +303,17 @@ def cmd_search(args) -> int:
     mode = _corpus_mode(args, "random")
     combined, per_n = search_n_range(args.predicate, n_values, mode, args.samples or 0,
                                      args.seed, args.workers, args.max_witnesses)
-
-    if args.format == "json":
-        config = {"predicate": args.predicate, "n_values": n_values, "mode": mode,
-                  "samples": args.samples, "seed": args.seed,
-                  "workers": args.workers, "max_witnesses": args.max_witnesses}
-        results = _search_json(combined, args.deterministic)
-        results["per_n"] = [_search_json(r, args.deterministic) for r in per_n]
-        _emit(_json_payload("search", config, results, args.deterministic), args.out)
-    else:
-        lines = [f"search predicate={combined.predicate} mode={mode} "
-                 f"n={list(combined.n_values)} scanned={combined.instances_scanned} "
-                 f"status={combined.status}"]
-        for w in combined.witnesses:
-            lines.append(f"  WITNESS n={w['n']} ideal=({w['ideal']}) {w['violated']}")
-        _emit("\n".join(lines) + "\n", args.out)
+    config = {"predicate": args.predicate, "n_values": n_values, "mode": mode,
+              "samples": args.samples, "seed": args.seed,
+              "workers": args.workers, "max_witnesses": args.max_witnesses}
+    results = _search_json(combined, args.deterministic)
+    results["per_n"] = [_search_json(r, args.deterministic) for r in per_n]
+    lines = [f"search predicate={combined.predicate} mode={mode} "
+             f"n={list(combined.n_values)} scanned={combined.instances_scanned} "
+             f"status={combined.status}"]
+    lines += [f"  WITNESS n={w['n']} ideal=({w['ideal']}) {w['violated']}"
+              for w in combined.witnesses]
+    _output(args, config, results, "\n".join(lines) + "\n")
     return 0
 
 
@@ -357,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timestamps/host/elapsed for golden files")
         n_flags = p.add_mutually_exclusive_group() if with_corpus else p
-        n_flags.add_argument("-n", type=int, default=None, help="number of variables")
+        n_flags.add_argument("-n", type=int, default=None, required=not with_corpus,
+                             help="number of variables")
         if with_corpus:
             n_flags.add_argument("--n-range", type=_parse_n_range, default=None,
                                  metavar="A..B", help="inclusive range of n values")
@@ -371,9 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="report for one ideal")
     common(p_compute, with_corpus=False)
-    p_compute.add_argument("ideal", nargs="?", default=None,
-                           help="generator text, e.g. 'x1*x2, x2*x3'")
-    p_compute.add_argument("--file", default=None, help="read generator text from a file")
+    gens = p_compute.add_mutually_exclusive_group(required=True)
+    gens.add_argument("ideal", nargs="?", default=None,
+                      help="generator text, e.g. 'x1*x2, x2*x3'")
+    gens.add_argument("--file", default=None, help="read generator text from a file")
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run the checker suite over a corpus")
@@ -405,7 +382,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,17 +73,30 @@ def test_compute_file_input(tmp_path, capsys):
 def test_compute_rejects_text_and_file_together(tmp_path, capsys):
     path = tmp_path / "gens.txt"
     path.write_text("x1*x2, x2*x3\n")
-    code, out, err = run_cli(capsys, "compute", "-n", "3", "x1*x2*x3", "--file", str(path))
-    assert code == 2
-    assert "--file" in err
-    assert out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "-n", "3", "x1*x2*x3", "--file", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--file" in captured.err
+    assert captured.out == ""
+
+
+def test_compute_needs_generator_text_or_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "-n", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "ideal --file" in captured.err and "required" in captured.err
+    assert captured.out == ""
 
 
 def test_compute_needs_n(capsys):
-    code, out, err = run_cli(capsys, "compute", "x1*x2")
-    assert code == 2
-    assert "-n" in err
-    assert out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "x1*x2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "-n" in captured.err
+    assert captured.out == ""
 
 
 def test_exit_code_parse_error(capsys):
@@ -104,6 +117,37 @@ def test_exit_code_capacity_error(capsys):
     assert code == 4
     code, _, err = run_cli(capsys, "compute", "-n", "26", "x1*x2")
     assert code == 4
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as under ``hdepth ... | head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv,closed_stdout", [
+    (["compute", "-n", "3", "--file", "{missing}/gens.txt"], False),
+    (["compute", "-n", "3", "x1*x2", "--out", "{missing}/out.txt"], False),
+    (["verify", "--exhaustive", "-n", "3", "--format", "json", "--out", "{missing}/out.json"],
+     False),
+    (["verify", "--exhaustive", "-n", "3", "--format", "csv", "--out", "{missing}/out.csv"],
+     False),
+    (["search", "--predicate", "main", "--exhaustive", "-n", "3", "--out", "{missing}/out.txt"],
+     False),
+    (["verify", "--exhaustive", "-n", "3", "--format", "csv"], True),
+], ids=["compute-file", "compute-out", "verify-json-out", "verify-csv-out", "search-out",
+        "verify-csv-closed-stdout"])
+def test_io_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, closed_stdout):
+    # exit 1 means a verification failure, so an I/O error must not end there
+    # through an uncaught exception
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    if closed_stdout:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_tables(capsys):

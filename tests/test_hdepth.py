@@ -8,11 +8,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hilbertdepth.combinatorics import binom, binom_row, complement_counts
-from hilbertdepth.corpus import alpha_census, enumerate_ideals, random_ideal, sample_rng
+from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumerate_ideals,
+                                 random_ideal, sample_rng)
 from hilbertdepth.depth import (alpha_from_beta, beta_triangle, beta_values,
                                 hdepth, hdepth_pair, hdepth_report)
 from hilbertdepth.errors import DomainError
-from hilbertdepth.ideals import ALPHA_N_MAX, parse_ideal
+from hilbertdepth.ideals import ALPHA_N_MAX, Ideal, parse_ideal
 from hilbertdepth.theorems import principal_alpha_profile
 
 
@@ -144,6 +145,20 @@ def test_hdepth_pair_matches_reference_exactly(census6):
             with pytest.raises(DomainError):
                 hdepth_pair(a)
     assert len(seen) >= 30
+
+
+def test_cone_lemma_raises_both_depths_by_one(census6):
+    # adjoining a variable that no generator uses divides both Hilbert series
+    # by (1 - t), so both depths rise by exactly one, and the quotient's alpha
+    # vector on n + 1 variables is the cone, cone(a)_j = a_j + a_{j-1}
+    for n in range(1, 7):
+        for a in census6 if n == 6 else alpha_census(n):
+            q, h, _ = hdepth_pair(a)
+            cone = tuple(x + y for x, y in zip(a + (0,), (0,) + a))
+            assert hdepth_pair(cone)[:2] == (q + 1, h + 1)
+            report = hdepth_report(Ideal(n + 1, compressed_complex_ideal(n, a).gens))
+            assert report.alpha_quotient == cone
+            assert (report.hdepth_quotient, report.hdepth_ideal) == (q + 1, h + 1)
 
 
 @st.composite
