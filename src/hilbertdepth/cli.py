@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 ok/inconclusive, 1 verification failure, 2 usage/parse error
 or I/O error (a missing ``--file``, an unwritable ``--out``, a closed stdout),
-3 domain error, 4 capacity error.
+3 domain error, 4 capacity error.  An ``--out`` that is a directory or lies
+in a missing one is refused before any work starts.
 
 JSON output is ``{schema_version, command, config, results}``; alpha and beta
 arrays are arrays of decimal strings so 64-bit consumers cannot overflow.
@@ -22,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -95,6 +98,17 @@ def _output(args, config: dict, results: dict, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out_path(path: str):
+    """Refuse an ``--out`` that is a directory or lies in a missing one before
+    any work is done.  The file itself is opened only to write, so a usage
+    error found later leaves an existing file as it was."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", parent)
 
 
 def _witness_json(w: dict) -> dict:
@@ -372,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out_path(args.out)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -19,7 +19,10 @@ memo), in one process; only random runs are split into tasks for the worker
 pool.
 
 Random generation draws a generator count uniform in [1, 3n] and generator
-degrees from a distribution weighted toward [2, n-2], then minimalizes.
+degrees from a distribution weighted toward [2, n-2].  A sample's alpha
+counts read the upward closure of its raw draws, which equals that of their
+minimal antichain, so the draws are minimalized only where an ``Ideal`` is
+built: in ``random_ideal`` and when a sample's witness is realized.
 Sample i of a run is drawn from its own Random seeded with "seed:n:i", making
 runs bit-reproducible independently of worker count.
 """
@@ -264,8 +267,10 @@ def _degree_table(n: int):
     return degrees, cum, steps, tuple(1 << v for v in range(n))
 
 
-def random_gen_masks(n: int, rng: random.Random) -> tuple[int, ...]:
-    """Minimalized generator masks of one random ideal (always proper, nonzero).
+def random_gen_masks(n: int, rng: random.Random) -> list[int]:
+    """The generator masks of one random ideal as drawn: in draw order, possibly
+    repeated or nested, never 0 (the ideal is always proper and nonzero).
+    ``minimalize`` turns them into the ideal's generators.
 
     The draws are, draw for draw, those of ``rng.randint(1, 3 * n)`` generators,
     each of degree ``d = rng.choices(degrees, cum_weights=cum)[0]`` on the
@@ -316,7 +321,7 @@ def random_gen_masks(n: int, rng: random.Random) -> tuple[int, ...]:
                 if j < n:
                     mask |= 1 << j
         masks.append(mask)
-    return minimalize(masks)
+    return masks
 
 
 def random_ideal(n: int, rng: random.Random) -> Ideal:
@@ -328,7 +333,7 @@ def random_ideal(n: int, rng: random.Random) -> Ideal:
         raise ValueError("random_ideal needs n >= 2")
     if n > N_MAX:
         raise CapacityError(f"random_ideal: n={n} exceeds cap {N_MAX}")
-    return Ideal(n, random_gen_masks(n, rng))
+    return Ideal(n, minimalize(random_gen_masks(n, rng)))
 
 
 def sample_rng(seed: int, n: int, index: int) -> random.Random:
@@ -454,9 +459,9 @@ def _profile_loop(n: int, items, names, cap, realize):
 
 
 def _sample_task(args):
-    """Sample indices [lo, hi) through ``_profile_loop``, keyed on alpha(S/I):
-    a witness is realized from its sample's masks and carries its
-    ``sample_index``."""
+    """Sample indices [lo, hi) through ``_profile_loop``, keyed on alpha(S/I)
+    of each sample's raw draws: a witness is realized from its sample's
+    minimalized masks and carries its ``sample_index``."""
     n, seed, lo, hi, names, cap = args
 
     def samples():
@@ -466,7 +471,7 @@ def _sample_task(args):
 
     def realize(source):
         i, masks = source
-        return Ideal(n, masks), {"sample_index": i}
+        return Ideal(n, minimalize(masks)), {"sample_index": i}
 
     return _profile_loop(n, samples(), names, cap, realize)
 

@@ -150,6 +150,27 @@ def test_io_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", ["missing/x.out", "existing"], ids=["missing-dir", "is-dir"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--exhaustive", "-n", "6", "--format", "json"],
+    ["verify", "--exhaustive", "-n", "6"],
+    ["search", "--predicate", "main", "--exhaustive", "-n", "6"],
+], ids=["verify-json", "verify-text", "search"])
+def test_bad_out_path_fails_before_the_scan(tmp_path, capsys, monkeypatch, argv, out):
+    def refused(*args, **kwargs):
+        raise AssertionError("scanned before --out was checked")
+
+    monkeypatch.setattr(cli, "run_verification", refused)
+    monkeypatch.setattr(cli, "search_n_range", refused)
+    (tmp_path / "existing").mkdir()
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert ("no such directory" if out.startswith("missing") else "is a directory") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+
+
 def test_verify_tables(capsys):
     code, out, _ = run_cli(capsys, "verify", "--tables")
     assert code == 0

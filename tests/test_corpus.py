@@ -137,7 +137,8 @@ def test_random_ideal_deterministic():
 
 
 def stdlib_gen_masks(n, rng):
-    """Reference: the draws of ``random_gen_masks`` through the stdlib wrappers."""
+    """Reference: the draws of ``random_gen_masks`` through the stdlib wrappers,
+    raw and in draw order."""
     weights = default_degree_weights(n)
     degrees = tuple(sorted(weights))
     cum = tuple(accumulate(weights[d] for d in degrees))
@@ -149,18 +150,31 @@ def stdlib_gen_masks(n, rng):
         for v in rng.sample(range(n), d):
             mask |= 1 << v
         masks.append(mask)
-    return minimalize(masks)
+    return masks
 
 
-def test_random_gen_masks_matches_stdlib_draws():
-    # equal generator states mean that both consumed the same words;
-    # n = 22, 30, 40 reach sample's set path for degrees up to 5
+def draw_grid():
+    """(n, seed, sample index) triples; n = 22, 30, 40 reach sample's set path
+    for degrees up to 5."""
     for n in [*range(2, 15), 22, 30, 40]:
         for seed in (0, 7, 42):
             for i in range(300 if n <= 14 else 50):
-                fast, ref = sample_rng(seed, n, i), sample_rng(seed, n, i)
-                assert random_gen_masks(n, fast) == stdlib_gen_masks(n, ref), (n, seed, i)
-                assert fast.getstate() == ref.getstate(), (n, seed, i)
+                yield n, seed, i
+
+
+def test_random_gen_masks_matches_stdlib_draws():
+    # the raw draws, in draw order; equal generator states mean that both
+    # consumed the same words
+    for n, seed, i in draw_grid():
+        fast, ref = sample_rng(seed, n, i), sample_rng(seed, n, i)
+        assert random_gen_masks(n, fast) == stdlib_gen_masks(n, ref), (n, seed, i)
+        assert fast.getstate() == ref.getstate(), (n, seed, i)
+
+
+def test_random_ideal_is_the_minimalized_stdlib_draws():
+    for n, seed, i in draw_grid():
+        draws = stdlib_gen_masks(n, sample_rng(seed, n, i))
+        assert random_ideal(n, sample_rng(seed, n, i)).gens == minimalize(draws), (n, seed, i)
 
 
 def test_random_ideal_invariants_fuzz():

@@ -80,6 +80,28 @@ def test_minimalize_matches_brute_force(masks):
     assert minimalize(masks) == tuple(sorted(minimal, key=lambda m: (m.bit_count(), m)))
 
 
+@st.composite
+def raw_draws(draw):
+    """n <= 10 and a list of nonzero masks on n variables, with some masks
+    repeated and some widened into supersets of others, as random draws are."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                          min_size=1, max_size=30))
+    widened = draw(st.lists(st.tuples(st.sampled_from(masks),
+                                      st.integers(min_value=0, max_value=(1 << n) - 1)),
+                            max_size=10))
+    return n, masks + [m | extra for m, extra in widened]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_draws())
+@example((4, [0b0110, 0b0011, 0b0110, 0b0111, 0b1110, 0b0010]))
+def test_alpha_counts_read_only_the_upward_closure(draws):
+    # sampling counts alpha from the raw draws; the report path from the ideal
+    n, masks = draws
+    assert alpha_counts_of_ideal(n, masks) == alpha_counts_of_ideal(n, minimalize(masks))
+
+
 def test_monomial_basics():
     assert monomial_str(0b101) == "x1*x3"
     assert monomial_str(0) == "1"

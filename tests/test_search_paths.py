@@ -9,9 +9,9 @@ import tracemalloc
 import pytest
 
 from hilbertdepth import corpus
-from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
-                                 search_counterexample)
-from hilbertdepth.ideals import alpha_of_quotient
+from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS, random_gen_masks,
+                                 random_ideal, sample_rng, search_counterexample)
+from hilbertdepth.ideals import alpha_of_quotient, minimalize
 from hilbertdepth.theorems import CHECK_ORDER, ProfileOutcome
 
 
@@ -68,6 +68,25 @@ def test_huge_budget_search_stays_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert report.instances_scanned == 2000
     assert peak < 4 * 2**20
+
+
+def test_sample_witness_is_realized_from_minimalized_draws(monkeypatch):
+    # a sample's alpha is counted from its raw draws, but its witness ideal
+    # must be the minimal antichain that the report path reads
+    monkeypatch.setattr(corpus, "evaluate_profile", _always_failing("main"))
+    monkeypatch.setattr(corpus, "witness_from_ideal", _stub_witness)
+
+    n, seed = 7, 4
+    plan = EnumerationPlan(n=n, mode="random", sample_count=2000, seed=seed)
+    report = search_counterexample(plan, "main", max_witnesses=5)
+    assert len(report.witnesses) == 5
+    raw_is_minimal = []
+    for w in report.witnesses:
+        i = w["sample_index"]
+        assert w["ideal"] == str(random_ideal(n, sample_rng(seed, n, i)))
+        draws = random_gen_masks(n, sample_rng(seed, n, i))
+        raw_is_minimal.append(tuple(draws) == minimalize(draws))
+    assert not all(raw_is_minimal)  # some witness needed minimalizing
 
 
 def test_search_respects_max_witnesses(monkeypatch):
