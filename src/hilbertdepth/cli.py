@@ -205,14 +205,13 @@ def _summary_json(summary: VerifySummary, deterministic: bool) -> dict:
     return out
 
 
-def _summary_text(summary: VerifySummary) -> str:
+def _summary_text(summary: VerifySummary, deterministic: bool) -> str:
     lines = [
         f"verification (n={summary.n}, {summary.mode}"
         + (f", samples={summary.sample_count}, seed={summary.seed}"
            if summary.mode == "random" else "")
-        + f"): scanned {summary.scanned} ideals, "
-          f"{summary.distinct_profiles} distinct profiles, "
-          f"{summary.elapsed:.2f}s, workers={summary.workers}",
+        + f"): scanned {summary.scanned} ideals, {summary.distinct_profiles} distinct profiles, "
+        + ("" if deterministic else f"{summary.elapsed:.2f}s, ") + f"workers={summary.workers}",
         f"  {'check':28s} {'applicable':>12s} {'passed':>12s} {'failed':>8s}",
     ]
     for name, t in sorted(summary.checks.items()):
@@ -289,7 +288,7 @@ def cmd_verify(args) -> int:
               "seed": args.seed, "workers": args.workers}
     results = {"summaries": [_summary_json(s, args.deterministic) for s in summaries],
                "total_failures": total_failures}
-    text = "".join(_summary_text(s) for s in summaries)
+    text = "".join(_summary_text(s, args.deterministic) for s in summaries)
     text += f"RESULT: {'PASS' if total_failures == 0 else 'FAIL'} ({total_failures} failures)\n"
     _output(args, config, results, text)
     return 1 if total_failures else 0

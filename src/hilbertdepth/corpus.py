@@ -12,11 +12,12 @@ is excluded, so every walk stops at level n - 1.
 
 The verification harness aggregates per distinct alpha vector: every check it
 runs is a function of (n, alpha(S/I)) alone, so exhaustive runs tally an
-"alpha census" instead of materializing 7.8M ideal objects, and a random
-run's tasks evaluate each profile once.  ``alpha_census`` counts the levels
-above each level once per distinct set of faces the lower levels allow (a
-memo), in one process; only random runs are split into tasks for the worker
-pool.
+"alpha census" instead of materializing 7.8M ideal objects, and a sample task
+evaluates each of its profiles once.  ``alpha_census`` counts the levels above
+each level once per distinct set of faces the lower levels allow (a memo).  A
+scan yields the census as one part, in this process, or each sample task as a
+part from the worker pool; a profile's outcome is the same in every part, so
+each report folds the parts as they arrive, and no map of every profile is built.
 
 Random generation draws a generator count uniform in [1, 3n] and generator
 degrees from a distribution weighted toward [2, n-2].  A sample's alpha
@@ -379,7 +380,7 @@ class EnumerationPlan(NamedTuple("EnumerationPlan", [
 
 
 class CheckerTally:
-    """One check's counts over a corpus, added to in place by ``_tally_profiles``."""
+    """One check's counts over a corpus, added to in place by ``run_verification``."""
 
     def __init__(self):
         self.applicable = self.passed = self.failed = 0
@@ -501,77 +502,73 @@ def _pool_map(workers: int, fn, tasks):
 
 
 def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
-    """Scan the plan's corpus through ``_profile_loop``: (profiles, witnesses).
+    """Yield the plan's corpus in parts, each ``_profile_loop``'s (profiles, witnesses).
 
-    Exhaustive mode feeds it the alpha census in this process, realizing a
-    witness from its profile's compressed complex.  Random mode streams the
-    sample tasks through the pool, each building at most
-    min(``max_witnesses``, _WITNESS_CAP_PER_TASK) witnesses, merges them in
-    task order, and stops after the task that brings the witness count to
-    ``max_witnesses`` (whole tasks only, so the scanned count stays
-    deterministic).
+    Exhaustive mode has one part, the alpha census scanned in this process,
+    whose witnesses are realized from compressed complexes.  Random mode
+    yields one part per sample task, in task order, through the pool; a task
+    builds at most min(``max_witnesses``, _WITNESS_CAP_PER_TASK) witnesses,
+    and the scan returns after the task that brings the witness count to
+    ``max_witnesses`` (whole tasks only: the scanned count is deterministic).
     """
     n = plan.n
     cap = float("inf") if max_witnesses is None else max_witnesses
     if plan.mode == "exhaustive":
         census = ((alpha, c, alpha) for alpha, c in alpha_census(n).items())
-        profiles, witnesses = _profile_loop(
-            n, census, names, cap, lambda alpha: (find_ideal_with_alpha(n, alpha), {}))
-        return profiles, witnesses[:max_witnesses]
+        yield _profile_loop(n, census, names, cap,
+                            lambda alpha: (find_ideal_with_alpha(n, alpha), {}))
+        return
     tasks = ((n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count), tuple(names),
               min(cap, _WITNESS_CAP_PER_TASK))
              for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE))
     # one task needs no pool
     workers = plan.workers if plan.sample_count > _SAMPLE_TASK_SIZE else 1
-    profiles, witnesses = {}, []
-    with closing(_pool_map(workers, _sample_task, tasks)) as results:
-        for task_profiles, task_witnesses in results:
-            for alpha, (count, outcome) in task_profiles.items():
-                profiles.setdefault(alpha, [0, outcome])[0] += count
-            witnesses += task_witnesses
-            if len(witnesses) >= cap:
-                break
-    return profiles, witnesses[:max_witnesses]
-
-
-def _tally_profiles(profiles):
-    """Fold the profiles into the VERIFY_CHECKS tallies and the q histogram."""
-    tallies = {name: CheckerTally() for name in VERIFY_CHECKS}
-    q_hist: dict[int, int] = {}
-    for count, outcome in profiles.values():
-        q_hist[outcome.q] = q_hist.get(outcome.q, 0) + count
-        # VERIFY_CHECKS is a prefix of CHECK_ORDER, the order of the verdicts
-        for t, verdict in zip(tallies.values(), outcome.verdicts):
-            if verdict is None:
-                continue
-            t.applicable += count
-            if verdict:
-                t.failed += count
-            else:
-                t.passed += count
-    return tallies, q_hist
+    found = 0
+    with closing(_pool_map(workers, _sample_task, tasks)) as parts:
+        for part in parts:
+            yield part
+            found += len(part[1])
+            if found >= cap:
+                return
 
 
 def run_verification(plan: EnumerationPlan) -> VerifySummary:
     """Scan the planned corpus and tally every VERIFY_CHECKS check.
 
     Exhaustive mode aggregates the alpha census; random mode draws the seeded
-    samples.  Failing profiles are materialized into re-verified witnesses.
+    samples.  Each part of the scan is folded in as it arrives; across parts
+    only the set of distinct alphas is kept.  Failing profiles are
+    materialized into re-verified witnesses.
     """
     start = time.monotonic()
-    profiles, witnesses = _scan(plan, VERIFY_CHECKS)
-    tallies, q_hist = _tally_profiles(profiles)
+    tallies = {name: CheckerTally() for name in VERIFY_CHECKS}
+    q_hist: dict[int, int] = {}
+    alphas, witnesses = set(), []
+    with closing(_scan(plan, VERIFY_CHECKS)) as parts:
+        for profiles, part_witnesses in parts:
+            alphas.update(profiles)
+            witnesses += part_witnesses
+            for count, outcome in profiles.values():
+                q_hist[outcome.q] = q_hist.get(outcome.q, 0) + count
+                # VERIFY_CHECKS is a prefix of CHECK_ORDER, the order of the verdicts
+                for t, verdict in zip(tallies.values(), outcome.verdicts):
+                    if verdict is not None:
+                        t.applicable += count
+                        if verdict:
+                            t.failed += count
+                        else:
+                            t.passed += count
     return VerifySummary(
         n=plan.n,
         mode=plan.mode,
-        scanned=sum(count for count, _ in profiles.values()),
+        scanned=sum(q_hist.values()),
         elapsed=time.monotonic() - start,
         seed=plan.seed,
         sample_count=plan.sample_count,
         workers=plan.workers,
         checks=tallies,
         witnesses=witnesses,
-        distinct_profiles=len(profiles),
+        distinct_profiles=len(alphas),
         q_histogram=dict(sorted(q_hist.items())),
     )
 
@@ -594,9 +591,12 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
     if predicate not in CHECK_ORDER:
         raise ValueError(f"unknown predicate {predicate!r}")
     start = time.monotonic()
-    profiles, witnesses = _scan(plan, (predicate,), max_witnesses)
-    scanned = sum(count for count, _ in profiles.values())
-    return SearchReport(predicate, (plan.n,), plan.mode, scanned, witnesses,
+    scanned, witnesses = 0, []
+    with closing(_scan(plan, (predicate,), max_witnesses)) as parts:
+        for profiles, part_witnesses in parts:
+            scanned += sum(count for count, _ in profiles.values())
+            witnesses += part_witnesses
+    return SearchReport(predicate, (plan.n,), plan.mode, scanned, witnesses[:max_witnesses],
                         time.monotonic() - start, plan.seed,
                         _search_status(plan.mode, witnesses))
 

@@ -11,12 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from hilbertdepth import cli
+from hilbertdepth import cli, corpus
 from hilbertdepth.cli import main
-from hilbertdepth.corpus import PROPER_IDEAL_COUNTS
+from hilbertdepth.corpus import PROPER_IDEAL_COUNTS, compressed_complex_ideal
 from hilbertdepth.depth import hdepth_report
 from hilbertdepth.ideals import parse_ideal
-from hilbertdepth.theorems import CHECKS
+from hilbertdepth.theorems import CHECKS, witness_from_ideal
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +195,69 @@ def test_verify_exhaustive_text(capsys):
     assert code == 0
     assert "RESULT: PASS" in out
     assert "scanned 166 ideals" in out
+
+
+def test_verify_text_deterministic_bytes(capsys, monkeypatch):
+    # the header drops the elapsed time under --deterministic, so two runs that
+    # took different times print the same bytes; without the flag it stays
+    elapsed = iter([0.01, 12.5, 12.5])
+    real = cli.run_verification
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda plan: real(plan)._replace(elapsed=next(elapsed)))
+    args = ("verify", "--exhaustive", "-n", "4")
+    code1, out1, _ = run_cli(capsys, *args, "--deterministic")
+    code2, out2, _ = run_cli(capsys, *args, "--deterministic")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "24 distinct profiles, workers=1" in out1
+    code3, out3, _ = run_cli(capsys, *args)
+    assert code3 == 0
+    assert "24 distinct profiles, 12.50s, workers=1" in out3
+
+
+def test_verify_failure_path_end_to_end(capsys, monkeypatch):
+    # every sample draws the generators of a pinned n = 9 profile on which
+    # main and q6-bounds fail through the real checks; 2,001 samples are two
+    # tasks, both in this process, so tallies and witnesses fold across them
+    ideal = compressed_complex_ideal(9, (1, 9, 36, 82, 105, 91, 40, 0, 0, 0))
+    monkeypatch.setattr(corpus, "random_gen_masks", lambda n, rng: list(ideal.gens))
+    argv = ("verify", "--random", "-n", "9", "--samples", "2001", "--seed", "0",
+            "--workers", "1")
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--deterministic")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results["total_failures"] == 4002
+    summary = results["summaries"][0]
+    for name in ("main", "q6-bounds"):
+        assert summary["checks"][name] == {"applicable": 2001, "passed": 0, "failed": 2001}
+    assert summary["distinct_profiles"] == 1
+    witnesses = summary["witnesses"]
+    assert [(w["sample_index"], w["check"]) for w in witnesses] == [
+        (0, "main"), (0, "q6-bounds"), (2000, "main"), (2000, "q6-bounds")]
+    for w in witnesses:
+        fresh = witness_from_ideal(parse_ideal(w["ideal"], 9), w["check"])
+        assert fresh is not None
+        assert fresh["alpha_quotient"] == [1, 9, 36, 82, 105, 91, 40, 0, 0, 0]
+        # the JSON arrays are the real witness's, as decimal strings
+        assert w == {k: [str(x) for x in v] if isinstance(v, list) else v
+                     for k, v in fresh.items()} | {"sample_index": w["sample_index"]}
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.count("  WITNESS main: n=9 ideal=(") == 2
+    assert out.count("  WITNESS q6-bounds: n=9 ideal=(") == 2
+    assert out.endswith("RESULT: FAIL (4002 failures)\n")
+
+
+@pytest.mark.parametrize("text", ["5", "a..b", "9..7"], ids=["no-dots", "not-int", "empty"])
+def test_malformed_n_range_is_a_usage_error(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--exhaustive", "--n-range", text])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n-range" in captured.err and repr(text) in captured.err
 
 
 def test_verify_json_deterministic_bytes(capsys):

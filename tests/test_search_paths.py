@@ -4,6 +4,7 @@ No reachable corpus fails the real checks (that is the point of the suite), so
 the witness-found branch is driven by monkeypatched evaluation.
 """
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -68,6 +69,36 @@ def test_huge_budget_search_stays_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert report.instances_scanned == 2000
     assert peak < 4 * 2**20
+
+
+def test_search_memory_does_not_grow_with_its_budget(monkeypatch):
+    # a search that never stops early holds about two tasks' profiles, not
+    # every profile of its budget: here each sample has a profile of its own,
+    # none applies, and the tasks are small, so ten times the budget is ten
+    # times the tasks and the profiles, and the same peak
+    outcome = ProfileOutcome(0, 0, False, True, (None,) * len(CHECK_ORDER))
+    distinct = itertools.count()
+    monkeypatch.setattr(corpus, "random_gen_masks", lambda n, rng: [])
+    monkeypatch.setattr(corpus, "alpha_counts_of_ideal",
+                        lambda n, masks: (next(distinct),) + (0,) * n)
+    monkeypatch.setattr(corpus, "evaluate_profile", lambda n, alpha: outcome)
+    monkeypatch.setattr(corpus, "_SAMPLE_TASK_SIZE", 200)
+
+    def traced_search(samples):
+        plan = EnumerationPlan(n=12, mode="random", sample_count=samples, seed=4)
+        tracemalloc.start()
+        try:
+            report = search_counterexample(plan, "main")
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_search(400)  # fills the caches the two measured runs share
+    small, small_peak = traced_search(2_000)
+    large, large_peak = traced_search(20_000)
+    assert small.status == large.status == "inconclusive"
+    assert large.instances_scanned == 20_000
+    assert large_peak - small_peak <= 2 * 2**20
 
 
 def test_sample_witness_is_realized_from_minimalized_draws(monkeypatch):
