@@ -18,12 +18,13 @@ each level once per distinct set of faces the lower levels allow (a memo).  A
 scan yields the census as one part, in this process, or each sample task as a
 part from the worker pool; a profile's outcome is the same in every part, so
 each report folds the parts as they arrive, and no map of every profile is built.
+The scan, in this process, realizes one witness per failing profile and check.
 
 Random generation draws a generator count uniform in [1, 3n] and generator
 degrees from a distribution weighted toward [2, n-2].  A sample's alpha
 counts read the upward closure of its raw draws, which equals that of their
-minimal antichain, so the draws are minimalized only where an ``Ideal`` is
-built: in ``random_ideal`` and when a sample's witness is realized.
+minimal antichain, so the draws are minimalized only in ``random_ideal``,
+which also realizes a sample's witness by redrawing it from its seed.
 Sample i of a run is drawn from its own Random seeded with "seed:n:i", making
 runs bit-reproducible independently of worker count.
 """
@@ -35,7 +36,7 @@ import time
 from bisect import bisect
 from collections import Counter, deque
 from contextlib import closing
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, islice
 from math import ceil, comb, log
 from typing import NamedTuple
@@ -422,59 +423,37 @@ class SearchReport(NamedTuple):
 
 # --- harness ---------------------------------------------------------------------
 
-_WITNESS_CAP_PER_TASK = 25
 _SAMPLE_TASK_SIZE = 2000
 
 
-def _profile_loop(n: int, items, names, cap, realize):
-    """Evaluate each distinct profile of ``items`` once: (profiles, witnesses).
+def _profile_loop(n: int, items):
+    """Evaluate each distinct profile of ``items`` once, in first-seen order.
 
     ``items`` yields (alpha(S/I), count, source), and ``profiles[alpha]`` is
-    ``[count, ProfileOutcome]``, the count summed over the items.  Until the
-    loop holds ``cap`` witnesses, the first source of each profile failing
-    any of ``names`` is realized, as ``realize(source) -> (ideal, extra
-    fields)``, into one witness per failing check, each from a fresh full
-    evaluation.  A witness that does not re-verify raises RuntimeError: the
-    profile evaluation and the report path disagree.
+    ``[count, ProfileOutcome, source]``: the count summed over the items, the
+    source the first item's.
     """
-    positions = [(name, CHECK_ORDER.index(name)) for name in names]
     profiles: dict[tuple, list] = {}
-    witnesses: list[dict] = []
     for alpha, count, source in items:
         profile = profiles.get(alpha)
-        if profile is not None:
+        if profile is None:
+            profiles[alpha] = [count, evaluate_profile(n, alpha), source]
+        else:
             profile[0] += count
-            continue
-        outcome = evaluate_profile(n, alpha)
-        profiles[alpha] = [count, outcome]
-        failing = [name for name, pos in positions if outcome.verdicts[pos]]
-        if failing and len(witnesses) < cap:
-            ideal, extra = realize(source)
-            for name in failing:
-                witness = witness_from_ideal(ideal, name)
-                if witness is None:
-                    raise RuntimeError(f"{name} fails on the profile of n = {n}, alpha = "
-                                       f"{alpha}, but its witness {ideal} does not re-verify")
-                witnesses.append(witness | extra)
-    return profiles, witnesses
+    return profiles
 
 
 def _sample_task(args):
     """Sample indices [lo, hi) through ``_profile_loop``, keyed on alpha(S/I)
-    of each sample's raw draws: a witness is realized from its sample's
-    minimalized masks and carries its ``sample_index``."""
-    n, seed, lo, hi, names, cap = args
+    of each sample's raw draws; a sample's source is its index."""
+    n, seed, lo, hi = args
 
     def samples():
         for i in range(lo, hi):
             masks = random_gen_masks(n, sample_rng(seed, n, i))
-            yield complement_counts(n, alpha_counts_of_ideal(n, masks)), 1, (i, masks)
+            yield complement_counts(n, alpha_counts_of_ideal(n, masks)), 1, i
 
-    def realize(source):
-        i, masks = source
-        return Ideal(n, minimalize(masks)), {"sample_index": i}
-
-    return _profile_loop(n, samples(), names, cap, realize)
+    return _profile_loop(n, samples())
 
 
 def _pool_map(workers: int, fn, tasks):
@@ -502,32 +481,53 @@ def _pool_map(workers: int, fn, tasks):
 
 
 def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
-    """Yield the plan's corpus in parts, each ``_profile_loop``'s (profiles, witnesses).
+    """Yield the plan's corpus in parts: each a ``_profile_loop`` map and its witnesses.
 
-    Exhaustive mode has one part, the alpha census scanned in this process,
-    whose witnesses are realized from compressed complexes.  Random mode
-    yields one part per sample task, in task order, through the pool; a task
-    builds at most min(``max_witnesses``, _WITNESS_CAP_PER_TASK) witnesses,
-    and the scan returns after the task that brings the witness count to
-    ``max_witnesses`` (whole tasks only: the scanned count is deterministic).
+    Exhaustive mode has one part, the alpha census, and random mode one part
+    per sample task, in task order, through the pool.  This process realizes
+    each profile that fails any of ``names`` in no earlier part, in first-seen
+    order (its compressed complex, or its first sample redrawn, with its
+    ``sample_index``), into one witness per failing check from a fresh full
+    evaluation; one that does not re-verify raises RuntimeError.  Realizing
+    stops once the scan holds ``max_witnesses``, and the scan returns after
+    that part (whole parts only: the scanned count is deterministic).
     """
     n = plan.n
     cap = float("inf") if max_witnesses is None else max_witnesses
     if plan.mode == "exhaustive":
         census = ((alpha, c, alpha) for alpha, c in alpha_census(n).items())
-        yield _profile_loop(n, census, names, cap,
-                            lambda alpha: (find_ideal_with_alpha(n, alpha), {}))
-        return
-    tasks = ((n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count), tuple(names),
-              min(cap, _WITNESS_CAP_PER_TASK))
-             for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE))
-    # one task needs no pool
-    workers = plan.workers if plan.sample_count > _SAMPLE_TASK_SIZE else 1
-    found = 0
-    with closing(_pool_map(workers, _sample_task, tasks)) as parts:
-        for part in parts:
-            yield part
-            found += len(part[1])
+        parts = _pool_map(1, partial(_profile_loop, n), (census,))
+
+        def realize(alpha):
+            return find_ideal_with_alpha(n, alpha), {}
+    else:
+        tasks = ((n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count))
+                 for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE))
+        # one task needs no pool
+        workers = plan.workers if plan.sample_count > _SAMPLE_TASK_SIZE else 1
+        parts = _pool_map(workers, _sample_task, tasks)
+
+        def realize(i):
+            return random_ideal(n, sample_rng(plan.seed, n, i)), {"sample_index": i}
+    positions = [(name, CHECK_ORDER.index(name)) for name in names]
+    realized, found = set(), 0
+    with closing(parts):
+        for profiles in parts:
+            witnesses = []
+            for alpha, (_, outcome, source) in profiles.items():
+                failing = [name for name, pos in positions if outcome.verdicts[pos]]
+                if not failing or found >= cap or alpha in realized:
+                    continue
+                realized.add(alpha)
+                ideal, extra = realize(source)
+                for name in failing:
+                    witness = witness_from_ideal(ideal, name)
+                    if witness is None:
+                        raise RuntimeError(f"{name} fails on the profile of n = {n}, alpha = "
+                                           f"{alpha}, but its witness {ideal} does not re-verify")
+                    witnesses.append(witness | extra)
+                found += len(failing)
+            yield profiles, witnesses
             if found >= cap:
                 return
 
@@ -537,8 +537,8 @@ def run_verification(plan: EnumerationPlan) -> VerifySummary:
 
     Exhaustive mode aggregates the alpha census; random mode draws the seeded
     samples.  Each part of the scan is folded in as it arrives; across parts
-    only the set of distinct alphas is kept.  Failing profiles are
-    materialized into re-verified witnesses.
+    only the set of distinct alphas is kept.  Each failing profile gives one
+    re-verified witness per failing check, once per scan.
     """
     start = time.monotonic()
     tallies = {name: CheckerTally() for name in VERIFY_CHECKS}
@@ -548,7 +548,7 @@ def run_verification(plan: EnumerationPlan) -> VerifySummary:
         for profiles, part_witnesses in parts:
             alphas.update(profiles)
             witnesses += part_witnesses
-            for count, outcome in profiles.values():
+            for count, outcome, _ in profiles.values():
                 q_hist[outcome.q] = q_hist.get(outcome.q, 0) + count
                 # VERIFY_CHECKS is a prefix of CHECK_ORDER, the order of the verdicts
                 for t, verdict in zip(tallies.values(), outcome.verdicts):
@@ -582,11 +582,11 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
                           max_witnesses: int = 1) -> SearchReport:
     """Scan one corpus for failures of one named check.
 
-    Random mode stops as soon as a task of samples has brought the count of
-    verified witnesses to ``max_witnesses`` (the scanned count stays
-    deterministic: whole tasks only); exhaustive mode materializes at most
-    ``max_witnesses`` failing profiles.  Every witness re-verifies through a
-    fresh full evaluation before being reported.
+    The scan realizes one witness per failing profile, at most
+    ``max_witnesses`` of them, and random mode stops after the task of samples
+    that reaches that count (the scanned count stays deterministic: whole
+    tasks only).  Every witness re-verifies through a fresh full evaluation
+    before being reported.
     """
     if predicate not in CHECK_ORDER:
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -594,9 +594,9 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
     scanned, witnesses = 0, []
     with closing(_scan(plan, (predicate,), max_witnesses)) as parts:
         for profiles, part_witnesses in parts:
-            scanned += sum(count for count, _ in profiles.values())
+            scanned += sum(profile[0] for profile in profiles.values())
             witnesses += part_witnesses
-    return SearchReport(predicate, (plan.n,), plan.mode, scanned, witnesses[:max_witnesses],
+    return SearchReport(predicate, (plan.n,), plan.mode, scanned, witnesses,
                         time.monotonic() - start, plan.seed,
                         _search_status(plan.mode, witnesses))
 

@@ -215,12 +215,18 @@ def test_verify_text_deterministic_bytes(capsys, monkeypatch):
     assert "24 distinct profiles, 12.50s, workers=1" in out3
 
 
-def test_verify_failure_path_end_to_end(capsys, monkeypatch):
+def _pin_n9_failing_profile(monkeypatch):
     # every sample draws the generators of a pinned n = 9 profile on which
-    # main and q6-bounds fail through the real checks; 2,001 samples are two
-    # tasks, both in this process, so tallies and witnesses fold across them
+    # main and q6-bounds fail through the real checks
     ideal = compressed_complex_ideal(9, (1, 9, 36, 82, 105, 91, 40, 0, 0, 0))
     monkeypatch.setattr(corpus, "random_gen_masks", lambda n, rng: list(ideal.gens))
+
+
+def test_verify_failure_path_end_to_end(capsys, monkeypatch):
+    # 2,001 samples are two tasks, both in this process, so tallies fold
+    # across them; the one failing profile is realized once per scan, from
+    # its first sample, however many tasks meet it
+    _pin_n9_failing_profile(monkeypatch)
     argv = ("verify", "--random", "-n", "9", "--samples", "2001", "--seed", "0",
             "--workers", "1")
 
@@ -233,8 +239,7 @@ def test_verify_failure_path_end_to_end(capsys, monkeypatch):
         assert summary["checks"][name] == {"applicable": 2001, "passed": 0, "failed": 2001}
     assert summary["distinct_profiles"] == 1
     witnesses = summary["witnesses"]
-    assert [(w["sample_index"], w["check"]) for w in witnesses] == [
-        (0, "main"), (0, "q6-bounds"), (2000, "main"), (2000, "q6-bounds")]
+    assert [(w["sample_index"], w["check"]) for w in witnesses] == [(0, "main"), (0, "q6-bounds")]
     for w in witnesses:
         fresh = witness_from_ideal(parse_ideal(w["ideal"], 9), w["check"])
         assert fresh is not None
@@ -245,9 +250,35 @@ def test_verify_failure_path_end_to_end(capsys, monkeypatch):
 
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
-    assert out.count("  WITNESS main: n=9 ideal=(") == 2
-    assert out.count("  WITNESS q6-bounds: n=9 ideal=(") == 2
+    assert out.count("  WITNESS main: n=9 ideal=(") == 1
+    assert out.count("  WITNESS q6-bounds: n=9 ideal=(") == 1
     assert out.endswith("RESULT: FAIL (4002 failures)\n")
+
+    # eleven tasks: the witnesses do not grow with the samples
+    code, out, _ = run_cli(capsys, "verify", "--random", "-n", "9", "--samples", "20001",
+                           "--seed", "0", "--workers", "1", "--format", "json",
+                           "--deterministic")
+    assert code == 1
+    summary = json.loads(out)["results"]["summaries"][0]
+    assert summary["checks"]["main"] == {"applicable": 20001, "passed": 0, "failed": 20001}
+    assert summary["witnesses"] == witnesses
+
+
+def test_verify_pool_realizes_the_same_witnesses(capsys, monkeypatch):
+    # 4,001 samples are three tasks: with two workers each part comes back
+    # from the pool, and the witness is realized after it in this process
+    _pin_n9_failing_profile(monkeypatch)
+    runs = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "--random", "-n", "9", "--samples", "4001",
+                               "--seed", "0", "--workers", workers, "--format", "json",
+                               "--deterministic")
+        assert code == 1
+        summary = json.loads(out)["results"]["summaries"][0]
+        runs.append({k: summary[k] for k in ("checks", "witnesses", "distinct_profiles")})
+    assert runs[0] == runs[1]
+    assert runs[0]["checks"]["main"] == {"applicable": 4001, "passed": 0, "failed": 4001}
+    assert [w["sample_index"] for w in runs[0]["witnesses"]] == [0, 0]
 
 
 @pytest.mark.parametrize("text", ["5", "a..b", "9..7"], ids=["no-dots", "not-int", "empty"])

@@ -144,9 +144,23 @@ def test_search_with_workers_stops_after_first_witness_chunk(monkeypatch):
     assert report.witnesses[0]["sample_index"] == 0
 
 
+def test_search_has_no_per_task_cap(monkeypatch):
+    # every profile fails: the first task of 2,000 samples holds more than 30
+    # profiles, so it alone gives all 30 witnesses and the scan stops after it
+    monkeypatch.setattr(corpus, "evaluate_profile", _always_failing("main"))
+    monkeypatch.setattr(corpus, "witness_from_ideal", _stub_witness)
+
+    plan = EnumerationPlan(n=7, mode="random", sample_count=4000, seed=4)
+    report = search_counterexample(plan, "main", max_witnesses=30)
+    assert len(report.witnesses) == 30
+    assert all(w["sample_index"] < 2000 for w in report.witnesses)
+    assert report.instances_scanned == 2000
+
+
 def test_one_witness_per_failing_profile_key(monkeypatch):
-    # n = 3 has fewer than 25 alpha keys, so the per-task cap is not what
-    # bounds the witnesses: each failing key yields exactly one
+    # n = 3 has fewer than 25 alpha keys, far below max_witnesses, and 4,000
+    # samples are two tasks that meet the same keys:
+    # each failing key yields exactly one witness per scan
     def keyed_witness(ideal, name):
         key = tuple(alpha_of_quotient(ideal))
         return {"check": name, "n": ideal.n, "ideal": str(ideal), "key": key}
@@ -154,11 +168,12 @@ def test_one_witness_per_failing_profile_key(monkeypatch):
     monkeypatch.setattr(corpus, "evaluate_profile", _always_failing("main"))
     monkeypatch.setattr(corpus, "witness_from_ideal", keyed_witness)
 
-    plan = EnumerationPlan(n=3, mode="random", sample_count=2000, seed=4)
-    report = search_counterexample(plan, "main", max_witnesses=100)
-    keys = [w["key"] for w in report.witnesses]
-    assert 0 < len(keys) < 25
-    assert len(set(keys)) == len(keys)
+    for samples in (2000, 4000):
+        plan = EnumerationPlan(n=3, mode="random", sample_count=samples, seed=4)
+        report = search_counterexample(plan, "main", max_witnesses=100)
+        keys = [w["key"] for w in report.witnesses]
+        assert 0 < len(keys) < 25
+        assert len(set(keys)) == len(keys), samples
 
 
 def test_exhaustive_search_builds_only_max_witnesses(monkeypatch):
