@@ -8,6 +8,9 @@ Subcommands:
   corpus (or reproduce the published bound tables with ``--tables``);
 * ``search``  -- scan a corpus for failures of one named predicate.
 
+``verify`` and ``search`` take exactly one of ``-n`` or ``--n-range``
+(``verify`` may take ``--tables`` in their place); argparse checks this.
+
 Exit codes: 0 ok/inconclusive, 1 verification failure, 2 usage/parse error
 or I/O error (a missing ``--file``, an unwritable ``--out``, a closed stdout),
 3 domain error, 4 capacity error.  An ``--out`` that is a directory or lies
@@ -66,18 +69,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
-
-
-def _n_values(args) -> list[int]:
-    if args.n is None and args.n_range is None:
-        raise ValueError("one of -n or --n-range is required")
-    return args.n_range or [args.n]
-
-
-def _corpus_mode(args, default: str) -> str:
-    """"random" or "exhaustive" from the flags; ``EnumerationPlan`` checks the
-    rest of the corpus."""
-    return "random" if args.random else "exhaustive" if args.exhaustive else default
 
 
 def _output(args, config: dict, results: dict, text: str):
@@ -249,11 +240,10 @@ def _verify_csv(plans, out_path):
 
 def _tables_conflicts(args) -> list[str]:
     """The flags that ``verify --tables`` would ignore: it scans no corpus and
-    writes text or JSON only."""
-    given = {"--format csv": args.format == "csv", "-n": args.n is not None,
-             "--n-range": args.n_range is not None, "--exhaustive": args.exhaustive,
-             "--random": args.random, "--samples": args.samples is not None,
-             "--seed": args.seed is not None}
+    writes text or JSON only.  argparse already refuses ``-n`` and
+    ``--n-range`` beside it."""
+    given = {"--format csv": args.format == "csv", f"--{args.mode}": args.mode is not None,
+             "--samples": args.samples is not None, "--seed": args.seed is not None}
     return [flag for flag, present in given.items() if present]
 
 
@@ -271,8 +261,8 @@ def cmd_verify(args) -> int:
                         for d in diffs))
         return 0 if not diffs else 1
 
-    n_values = _n_values(args)
-    mode = _corpus_mode(args, "exhaustive")
+    n_values = args.n_range or [args.n]
+    mode = args.mode or "exhaustive"
     # every n is checked before any scan starts
     plans = [EnumerationPlan(n=n, mode=mode, sample_count=args.samples or 0, seed=args.seed,
                              workers=args.workers) for n in n_values]
@@ -312,8 +302,8 @@ def _search_json(report: SearchReport, deterministic: bool) -> dict:
 
 
 def cmd_search(args) -> int:
-    n_values = _n_values(args)
-    mode = _corpus_mode(args, "random")
+    n_values = args.n_range or [args.n]
+    mode = args.mode or "random"
     combined, per_n = search_n_range(args.predicate, n_values, mode, args.samples or 0,
                                      args.seed, args.workers, args.max_witnesses)
     config = {"predicate": args.predicate, "n_values": n_values, "mode": mode,
@@ -339,20 +329,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification suites, and counterexample search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_corpus=True, formats=("json", "csv", "text")):
+    def common(p, with_corpus=True, formats=("json", "csv", "text"), tables=False):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timestamps/host/elapsed for golden files")
-        n_flags = p.add_mutually_exclusive_group() if with_corpus else p
+        n_flags = p.add_mutually_exclusive_group(required=True) if with_corpus else p
         n_flags.add_argument("-n", type=int, default=None, required=not with_corpus,
                              help="number of variables")
         if with_corpus:
             n_flags.add_argument("--n-range", type=_parse_n_range, default=None,
                                  metavar="A..B", help="inclusive range of n values")
+            if tables:  # usage brackets a group only if its flags are adjacent
+                n_flags.add_argument("--tables", action="store_true",
+                                     help="reproduce the published bound tables instead "
+                                          "(no corpus flags, text or JSON only)")
             corpus = p.add_mutually_exclusive_group()
-            corpus.add_argument("--exhaustive", action="store_true")
-            corpus.add_argument("--random", action="store_true")
+            corpus.add_argument("--exhaustive", dest="mode", action="store_const",
+                                const="exhaustive")
+            corpus.add_argument("--random", dest="mode", action="store_const", const="random")
             p.add_argument("--samples", type=_positive_int, default=None)
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--workers", type=_positive_int, default=1,
@@ -367,10 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run the checker suite over a corpus")
-    common(p_verify)
-    p_verify.add_argument("--tables", action="store_true",
-                          help="reproduce the published bound tables instead (no corpus "
-                               "flags, text or JSON only)")
+    common(p_verify, tables=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser("search", help="scan a corpus for one predicate's failures")

@@ -38,7 +38,7 @@ from collections import Counter, deque
 from contextlib import closing
 from functools import lru_cache, partial
 from itertools import accumulate, islice
-from math import ceil, comb, log
+from math import ceil, log
 from typing import NamedTuple
 
 from .combinatorics import N_MAX, complement_counts
@@ -176,9 +176,8 @@ def alpha_census(n: int) -> Counter:
     ``enumerate_downsets``).  Levels d..n-1 depend on the levels below only
     through the level-d sets they allow, so ``suffix(d, allowed)`` counts the
     selections of levels d..n-1 by their tail (a_d, ..., a_{n-1}) once per
-    distinct ``allowed`` mask: C(m, k) subsets of size k at level n-1, and
-    below it the subsets grouped by (size, next allowed mask) before their
-    memoized tails are merged.
+    distinct ``allowed`` mask: the subsets grouped by (size, next allowed
+    mask) before their memoized tails are merged.
     """
     _check_exhaustive_n(n)
     lv = _levels(n)
@@ -187,9 +186,6 @@ def alpha_census(n: int) -> Counter:
     def suffix(d: int, allowed: int) -> dict[tuple[int, ...], int]:
         if d == n:  # n = 1: there is no level to select
             return {(): 1}
-        if d == n - 1:
-            m = allowed.bit_count()
-            return {(k,): comb(m, k) for k in range(m + 1)}
         groups: dict[tuple[int, int], int] = {}
         s = allowed
         while True:

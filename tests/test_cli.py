@@ -183,11 +183,19 @@ def test_verify_tables(capsys):
     ids=["csv", "n", "n-range", "exhaustive", "random", "samples", "seed"])
 def test_verify_tables_rejects_flags_it_would_ignore(capsys, flags):
     # the tables scan no corpus and have no CSV form; --workers has a default
-    # and stays accepted
-    code, out, err = run_cli(capsys, "verify", "--tables", "--workers", "2", *flags)
+    # and stays accepted.  argparse refuses -n and --n-range, which share a
+    # group with --tables, and main() refuses the rest
+    argv = ["verify", "--tables", "--workers", "2", *flags]
+    if flags[0] in ("-n", "--n-range"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+    else:
+        code = main(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    assert flags[0] in err
-    assert out == ""
+    assert flags[0] in captured.err
+    assert captured.out == ""
 
 
 def test_verify_exhaustive_text(capsys):
@@ -377,8 +385,9 @@ def test_verify_random_needs_seed(capsys):
     code, _, err = run_cli(capsys, "verify", "--random", "-n", "7", "--seed", "1")
     assert code == 2
     assert "sample count >= 1" in err and "sample_count=0" in err
-    code, _, err = run_cli(capsys, "verify", "--exhaustive")
-    assert code == 2  # needs -n or --n-range
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--exhaustive"])
+    assert exc.value.code == 2  # needs -n or --n-range
 
 
 def test_verify_csv_rows(capsys):
@@ -508,6 +517,33 @@ def test_n_and_n_range_conflict(capsys, command):
     captured = capsys.readouterr()
     assert "not allowed with argument" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["verify", "--exhaustive"],
+                                     ["search", "--predicate", "main"]], ids=["verify", "search"])
+def test_corpus_commands_need_n(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "required" in captured.err
+    assert "-n" in captured.err and "--n-range" in captured.err
+    # verify may take --tables in place of an n
+    assert ("--tables" in captured.err) == (command[0] == "verify")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, group", [
+    ("verify", "(-n N | --n-range A..B | --tables)"), ("search", "(-n N | --n-range A..B)")],
+    ids=["verify", "search"])
+def test_usage_shows_the_required_n_group(capsys, monkeypatch, command, group):
+    # argparse renders groups differently across versions; a wide terminal
+    # keeps the group on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert group in capsys.readouterr().out.split("\n\n")[0]
 
 
 @pytest.mark.parametrize("command", [
