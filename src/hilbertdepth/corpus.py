@@ -14,7 +14,8 @@ The verification harness aggregates per distinct alpha vector: every check it
 runs is a function of (n, alpha(S/I)) alone, so exhaustive runs tally an
 "alpha census" instead of materializing 7.8M ideal objects, and a sample task
 evaluates each of its profiles once.  ``alpha_census`` counts the levels above
-each level once per distinct set of faces the lower levels allow (a memo).  A
+each level once per distinct set of faces the lower levels allow (a memo), and
+groups the subsets of that set slice by slice rather than one by one.  A
 scan yields the census as one part, in this process, or each sample task as a
 part from the worker pool; a profile's outcome is the same in every part, so
 each report folds the parts as they arrive, and no map of every profile is built.
@@ -57,7 +58,7 @@ PROPER_IDEAL_COUNTS = {1: 1, 2: 4, 3: 18, 4: 166, 5: 7579, 6: 7828352}
 
 # --- level tables -------------------------------------------------------------
 
-# ``_allowed`` reads a level selection in slices of this many bits
+# ``_allowed`` and ``alpha_census`` read a level selection in slices of this many bits
 _SLICE_BITS = 10
 _SLICE_MASK = (1 << _SLICE_BITS) - 1
 
@@ -98,14 +99,27 @@ def _levels(n: int) -> _Levels:
 @lru_cache(maxsize=None)
 def _slice_tables(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """One table per _SLICE_BITS-bit slice of a level-(d-1) selection: entry v
-    holds the level-d sets whose facets inside that slice all lie in v."""
+    holds the level-d sets whose facets inside that slice all lie in v.
+
+    With has[b] the level-d sets that have slice bit b as a facet, the sets
+    with a facet in c are missing[c] = missing[c ^ low] | has[b], where
+    low = 1 << b is c's lowest bit, and table[v] = full & ~missing[top ^ v]
+    (top the slice's all-ones value) keeps the sets with no facet outside v:
+    2^B steps for a B-bit slice.
+    """
     lv = _levels(n)
     size = len(lv.masks[d - 1])
     tables = []
     for lo in range(0, size, _SLICE_BITS):
-        reqs = [req >> lo & _SLICE_MASK for req in lv.facet_bits[d]]
-        tables.append(tuple(sum(1 << i for i, req in enumerate(reqs) if req & ~v == 0)
-                            for v in range(1 << min(_SLICE_BITS, size - lo))))
+        width = min(_SLICE_BITS, size - lo)
+        has = [sum(1 << i for i, req in enumerate(lv.facet_bits[d]) if req >> b & 1)
+               for b in range(lo, lo + width)]
+        missing = [0] * (1 << width)
+        for c in range(1, 1 << width):
+            low = c & -c
+            missing[c] = missing[c ^ low] | has[low.bit_length() - 1]
+        top = (1 << width) - 1
+        tables.append(tuple(lv.full[d] & ~missing[top ^ v] for v in range(top + 1)))
     return tuple(tables)
 
 
@@ -177,23 +191,41 @@ def alpha_census(n: int) -> Counter:
     through the level-d sets they allow, so ``suffix(d, allowed)`` counts the
     selections of levels d..n-1 by their tail (a_d, ..., a_{n-1}) once per
     distinct ``allowed`` mask: the subsets grouped by (size, next allowed
-    mask) before their memoized tails are merged.
+    mask) before their memoized tails are merged.  A subset's size is the sum
+    of its slices' sizes and its next allowed mask the AND of their table
+    entries, so ``slice_groups`` groups each _SLICE_BITS-bit slice's subsets
+    once, and their product, merged slice by slice, gives the groups: a
+    level costs the sum of 2^|slice| plus the product of the per-slice group
+    counts, not 2^|allowed|.
     """
     _check_exhaustive_n(n)
     lv = _levels(n)
 
     @lru_cache(maxsize=None)
+    def slice_groups(d: int, i: int, bits: int) -> dict[tuple[int, int], int]:
+        table = _slice_tables(n, d + 1)[i]
+        groups: dict[tuple[int, int], int] = {}
+        p = bits
+        while True:
+            group = (p.bit_count(), table[p])
+            groups[group] = groups.get(group, 0) + 1
+            if p == 0:
+                return groups
+            p = (p - 1) & bits
+
+    @lru_cache(maxsize=None)
     def suffix(d: int, allowed: int) -> dict[tuple[int, ...], int]:
         if d == n:  # n = 1: there is no level to select
             return {(): 1}
-        groups: dict[tuple[int, int], int] = {}
-        s = allowed
-        while True:
-            group = (s.bit_count(), _allowed(lv, d + 1, s))
-            groups[group] = groups.get(group, 0) + 1
-            if s == 0:
-                break
-            s = (s - 1) & allowed
+        groups = {(0, lv.full[d + 1]): 1}
+        for i in range(len(_slice_tables(n, d + 1))):
+            part = slice_groups(d, i, allowed >> i * _SLICE_BITS & _SLICE_MASK).items()
+            merged: dict[tuple[int, int], int] = {}
+            for (k, nxt), c in groups.items():
+                for (k2, nxt2), c2 in part:
+                    group = (k + k2, nxt & nxt2)
+                    merged[group] = merged.get(group, 0) + c * c2
+            groups = merged
         tails: dict[tuple[int, ...], int] = {}
         for (k, nxt), c in groups.items():
             for tail, count in suffix(d + 1, nxt).items():

@@ -7,7 +7,7 @@ from hilbertdepth.corpus import alpha_census
 
 @pytest.fixture(scope="session")
 def census6():
-    """The n = 6 alpha census, computed once per test session (a few seconds).
+    """The n = 6 alpha census, computed once per test session (about 1 s).
 
     Tests only read it."""
     return alpha_census(6)

@@ -108,6 +108,24 @@ def test_census_n6_digest(census6):
     assert digest == "0fc64a767915a93fd7f752bc8122ac98b6ef14e6d2ee7f1526616db39a349bdf"
 
 
+def test_slice_tables_match_their_definition():
+    # entry v of slice i's table: the level-d sets whose facets inside the
+    # slice all lie in v, read straight from the facet rows
+    for n in range(1, 7):
+        lv, bits = corpus._levels(n), corpus._SLICE_BITS
+        for d in range(1, n + 1):
+            size = len(lv.masks[d - 1])
+            tables = corpus._slice_tables(n, d)
+            assert len(tables) == -(-size // bits)
+            for i, table in enumerate(tables):
+                width = min(bits, size - bits * i)
+                assert len(table) == 1 << width
+                reqs = [req >> bits * i & (1 << width) - 1 for req in lv.facet_bits[d]]
+                for v, entry in enumerate(table):
+                    assert entry == sum(1 << j for j, req in enumerate(reqs)
+                                        if req & ~v == 0), (n, d, i, v)
+
+
 def test_downsets_are_closed_families():
     # read each leaf through its own table of the degree-d masks (ascending),
     # not through the walker's facet tables
