@@ -9,7 +9,8 @@ Everything here is exact integer arithmetic.  The central objects are
       N = C(n_k, k) + C(n_{k-1}, k-1) + ... + C(n_j, j),
       n_k > n_{k-1} > ... > n_j >= j >= 1,
 
-  which exists and is unique, and is produced greedily;
+  which exists and is unique, and is produced greedily; it also names the
+  k-subset of that colex rank (``colex_mask``);
 * the Kruskal-Katona shadow bounds derived from that representation: given the
   number a_k of k-element faces of a simplicial complex, shifting every index
   of the representation down by one gives a lower bound on a_{k-1}, and
@@ -131,6 +132,22 @@ def macaulay_rep(N: int, k: int) -> MacaulayRep:
         rem -= comb(top, idx)
         idx -= 1
     return MacaulayRep(k, tuple(terms))
+
+
+def colex_mask(r: int, k: int) -> int:
+    """The k-subset of colex rank r >= 0, as a mask (bit v for element v).
+
+    The k-set c_k > ... > c_1 has colex rank C(c_k, k) + ... + C(c_1, 1), so
+    its elements are the tops of r's k-binomial representation, whose last
+    index is j, and c_i = i - 1 below it (those terms vanish): 0 .. j-2.
+    Rank 0 is {0 .. k-1}.
+    """
+    terms = macaulay_rep(r, k).terms
+    j = terms[-1][1] if terms else k + 1
+    mask = (1 << (j - 1)) - 1
+    for top, _ in terms:
+        mask |= 1 << top
+    return mask
 
 
 def kk_lower_bound(rep: MacaulayRep) -> int:

@@ -42,7 +42,8 @@ from itertools import accumulate, islice
 from math import ceil, log
 from typing import NamedTuple
 
-from .combinatorics import N_MAX, complement_counts
+from .combinatorics import (N_MAX, colex_mask, complement_counts, kk_upper_bound,
+                            macaulay_rep)
 from .errors import CapacityError
 from .ideals import (ALPHA_N_MAX, Ideal, alpha_counts_of_ideal,
                      alpha_of_quotient, minimalize)
@@ -165,21 +166,20 @@ def enumerate_downsets(n: int):
     yield from rec(1, ())
 
 
-def _gens_from_levels(lv: _Levels, leaf: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal non-faces of the downset: generator masks, sorted by (degree, mask)."""
-    gens = []
-    for d in range(1, lv.n + 1):
-        chosen, prev = leaf[d - 1], leaf[d - 2] if d > 1 else 0
-        gens += [m for i, m in enumerate(lv.masks[d])
-                 if not chosen >> i & 1 and lv.facet_bits[d][i] & ~prev == 0]
-    return tuple(gens)
-
-
 def enumerate_ideals(n: int):
-    """Yield every proper nonzero squarefree ideal on n variables exactly once."""
+    """Yield every proper nonzero squarefree ideal on n variables exactly once.
+
+    Its generators are the downset's minimal non-faces, sorted by (degree, mask).
+    """
+    _check_exhaustive_n(n)  # before the level table is built
     lv = _levels(n)
     for leaf in enumerate_downsets(n):
-        yield Ideal(n, _gens_from_levels(lv, leaf))
+        gens = []
+        for d in range(1, n + 1):
+            chosen, prev = leaf[d - 1], leaf[d - 2] if d > 1 else 0
+            gens += [m for i, m in enumerate(lv.masks[d])
+                     if not chosen >> i & 1 and lv.facet_bits[d][i] & ~prev == 0]
+        yield Ideal(n, tuple(gens))
 
 
 def alpha_census(n: int) -> Counter:
@@ -240,17 +240,32 @@ def alpha_census(n: int) -> Counter:
 # --- compressed complexes -------------------------------------------------------
 
 def compressed_complex_ideal(n: int, alpha: tuple[int, ...]) -> Ideal:
-    """The ideal whose quotient complex takes the first alpha[j] faces of each
-    level in colex order.  Valid only for downward-closed (Kruskal-Katona
-    consistent) alpha vectors; raises ValueError otherwise.
+    """The ideal whose quotient complex takes the first alpha[d] d-sets of each
+    level d in colex order.  Valid only for Kruskal-Katona consistent alpha
+    vectors, 0 <= a_d <= KK^+(a_{d-1}) at every level; raises ValueError
+    otherwise.
+
+    In colex order a d-set's largest facet is the one that drops its lowest
+    element.  So a d-set has all its facets among the first N colex
+    (d-1)-sets iff that facet is one of them, and the d-sets that pass this
+    test are exactly the first KK^+(N) colex d-sets (every vertex at d = 1).
+    The generators of degree d, the minimal non-faces, are therefore the
+    d-sets of colex ranks a_d .. KK^+(a_{d-1}) - 1; ascending rank is
+    ascending mask, so they come out sorted by (degree, mask).
+    ``alpha_of_quotient`` re-checks the result.
     """
     if len(alpha) != n + 1 or alpha[0] != 1:
         raise ValueError("alpha must be (1, a_1, ..., a_n)")
-    lv = _levels(n) if n <= EXHAUSTIVE_N_MAX else _Levels(n)
-    # each level lists its masks in ascending, i.e. colex, order
-    leaf = tuple((1 << a) - 1 for a in alpha[1:])
-    ideal = Ideal(n, _gens_from_levels(lv, leaf))
-    # the quotient keeps exactly the chosen faces iff the families are closed
+    gens, upper = [], n
+    for d, a in enumerate(alpha[1:], 1):
+        # by induction every rank range stays within the C(n, d) d-sets
+        if not 0 <= a <= upper:
+            raise ValueError(f"alpha not realizable: a_{d} = {a} is outside [0, {upper}], "
+                             "its Kruskal-Katona range")
+        gens += [colex_mask(r, d) for r in range(a, upper)]
+        upper = kk_upper_bound(macaulay_rep(a, d))
+    ideal = Ideal(n, tuple(gens))
+    # the self-check, by counting: the quotient keeps exactly the chosen faces
     if alpha_of_quotient(ideal) != tuple(alpha):
         raise ValueError("alpha not realizable: its colex families are not a complex")
     return ideal

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertdepth.combinatorics import (N_MAX, MacaulayRep, binom, binom_diff,
-                                        binom_row, kk_lower_bound,
+                                        binom_row, colex_mask, kk_lower_bound,
                                         kk_upper_bound, macaulay_rep)
 
 
@@ -212,6 +212,18 @@ def test_kk_bounds_extremal_over_all_families():
         rep = macaulay_rep(N, 2)
         assert min_shadow == kk_lower_bound(rep) if N else min_shadow == 0
         assert max_up == kk_upper_bound(rep)
+
+
+def test_colex_mask_unranks_every_rank():
+    # colex order on k-sets is ascending mask order, so rank r is the r-th
+    # smallest mask of popcount k; the masks below 2^n are a prefix of those
+    # below 2^12, so this covers every n <= 12
+    for k in range(1, 13):
+        level = [m for m in range(1 << 12) if m.bit_count() == k]
+        assert [colex_mask(r, k) for r in range(len(level))] == level, k
+    assert colex_mask(0, 3) == 0b111
+    with pytest.raises(ValueError):
+        colex_mask(-1, 2)
 
 
 # --- difference family ----------------------------------------------------------

@@ -1,12 +1,16 @@
 """Enumeration, sampling, the verification harness, and search."""
 
 import hashlib
+import time
+import tracemalloc
 from collections import Counter
 from itertools import accumulate, combinations
+from math import comb
 
 import pytest
 
 from hilbertdepth import corpus
+from hilbertdepth.combinatorics import colex_mask
 from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  alpha_census, compressed_complex_ideal,
                                  default_degree_weights,
@@ -90,9 +94,22 @@ def test_enumeration_no_duplicates_and_invariants():
         assert len(seen) == PROPER_IDEAL_COUNTS[n]
 
 
+def traced(fn):
+    """fn()'s value, its wall time in seconds and its traced memory peak in bytes."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        value = fn()
+        return value, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_enumeration_capacity():
-    with pytest.raises(CapacityError):
-        next(enumerate_ideals(7))
+    # refused before any level table is built: n = 16's peaks at 50 MB traced
+    for n in (7, 16):
+        _, _, peak = traced(lambda: pytest.raises(CapacityError, next, enumerate_ideals(n)))
+        assert peak < 1_000_000, n
 
 
 def test_census_matches_materialized_alpha():
@@ -240,6 +257,61 @@ def test_compressed_complex_realizes_alpha():
     # a non-closed family is rejected: 1 vertex cannot carry an edge
     with pytest.raises(ValueError):
         compressed_complex_ideal(3, (1, 1, 1, 0))
+
+
+def brute_force_compressed_gens(n, alpha):
+    """Minimal non-faces, over all 2^n masks, of the complex whose level d is
+    the first a_d colex (ascending-mask) d-sets; sorted by (degree, mask)."""
+    faces = {0}
+    for d in range(1, n + 1):
+        faces.update([m for m in range(1 << n) if m.bit_count() == d][:alpha[d]])
+    gens = [m for m in range(1, 1 << n) if m not in faces
+            and all(m & ~(1 << v) in faces for v in range(n) if m >> v & 1)]
+    return tuple(sorted(gens, key=lambda m: (m.bit_count(), m)))
+
+
+def test_compressed_complex_matches_brute_force(census6):
+    profiles = [(n, alpha) for n in range(1, 6) for alpha in alpha_census(n)]
+    profiles += [(6, alpha) for alpha in census6]
+    for n in range(7, 11):
+        profiles += [(n, alpha_of_quotient(random_ideal(n, sample_rng(5, n, i))))
+                     for i in range(40)]
+    for n, alpha in profiles:
+        assert compressed_complex_ideal(n, alpha).gens == \
+            brute_force_compressed_gens(n, alpha), (n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [
+    (1, 3, -1, 0, 0, 0),  # negative entry
+    (1, 3, 3, 2, 0, 0),  # a_3 = 2 > KK^+(a_2 = 3) = 1: three edges bound one triangle
+    (1, 5, 10, 10**12, 0, 0),  # huge middle entry: no range or mask that long is built
+    (1, 6, 0, 0, 0, 0),  # a_1 above n
+])
+def test_compressed_complex_rejects_out_of_range_entries(alpha, monkeypatch):
+    # a range left unchecked fails after 1,000 unrankings instead of running away
+    calls = []
+
+    def counted(r, k):
+        calls.append(r)
+        assert len(calls) < 1000, "unranked past every valid range"
+        return colex_mask(r, k)
+
+    def rejected():
+        with pytest.raises(ValueError, match="not realizable"):
+            compressed_complex_ideal(5, alpha)
+
+    monkeypatch.setattr(corpus, "colex_mask", counted)
+    _, elapsed, peak = traced(rejected)
+    assert elapsed < 0.5 and peak < 100_000
+
+
+def test_compressed_complex_builds_no_level_table():
+    # the level tables would hold all 2^16 masks: 5.3 s and 52 MB traced
+    n = 16
+    alpha = (1, n, comb(n, 2)) + (0,) * (n - 2)
+    ideal, elapsed, peak = traced(lambda: compressed_complex_ideal(n, alpha))
+    assert ideal.gens == tuple(m for m in range(1 << n) if m.bit_count() == 3)
+    assert elapsed < 1 and peak < 2_000_000
 
 
 def test_find_ideal_with_alpha_realizes_every_census_profile():
