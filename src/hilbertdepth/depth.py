@@ -16,7 +16,8 @@ All arithmetic is exact.  ``hdepth_report`` bundles both sides (S/I and I)
 for a proper nonzero ideal, materializing full beta triangles (the rows of
 every level) for debugging, and reads both depths off those triangles.
 ``hdepth_pair`` is the fast path of the corpus harness: both depths and the
-row at q from one walk over packed rows.
+row at q from one walk over packed rows.  ``ring_beta_row`` is the row of S
+itself, which that walk and every inequality the checks state read.
 """
 
 from __future__ import annotations
@@ -93,21 +94,27 @@ def hdepth(counts) -> int:
 
 
 @lru_cache(maxsize=None)
+def ring_beta_row(n: int, d: int) -> tuple[int, ...]:
+    """b^d(S) = (C(n-d+k-1, k))_{k=0..d}, the beta row of S = K[x_1..x_n] at
+    level d, with C(-1, 0) = 1 at d = n (proof in ``hdepth_pair``).
+
+    It caps every inequality the checks state: b_k^d(I) = b_k^d(S) -
+    b_k^d(S/I), so hdepth(I) >= d iff b_k^d(S/I) <= b_k^d(S) for every k <= d.
+    """
+    return tuple(binom(n - d + k - 1, k) if n - d + k else 1 for k in range(d + 1))
+
+
+@lru_cache(maxsize=None)
 def _pair_tables(n: int):
     """Per-n tables of ``hdepth_pair``, fields w = 2n+2 bits wide: for each
     level d, B_d (bit w-1 of fields 0..d) and P_d = B_d + the packed row
-    C(n-d+k-1, k), k = 0..d, of S (with C(-1, 0) = 1 at d = n); plus the
-    binomial row, the alpha vector of S."""
+    ``ring_beta_row(n, d)`` of S; plus the binomial row, the alpha vector
+    of S."""
     w = 2 * n + 2
-    sign = [0] * (n + 1)
-    cap = [0] * (n + 1)
-    acc = 0
-    for d in range(n + 1):
-        acc |= 1 << (w * d + w - 1)
-        sign[d] = acc
-        cap[d] = acc + sum((binom(n - d + k - 1, k) if n - d + k else 1) << (w * k)
-                           for k in range(d + 1))
-    return tuple(sign), tuple(cap), binom_row(n)
+    sign = tuple(sum(1 << (w * k + w - 1) for k in range(d + 1)) for d in range(n + 1))
+    cap = tuple(b + sum(c << (w * k) for k, c in enumerate(ring_beta_row(n, d)))
+                for d, b in enumerate(sign))
+    return sign, cap, binom_row(n)
 
 
 def hdepth_pair(counts) -> tuple[int, int, tuple[int, ...]]:

@@ -2,22 +2,31 @@
 
 Each named result is one predicate over a ``Profile``.  It returns None when
 its preconditions do not hold, "" when it passes, and the violated
-inequality when it fails.  With q = hdepth(S/I):
+inequality when it fails.  With q = hdepth(S/I), the identity
+b_k^q(I) = b_k^q(S) - b_k^q(S/I) (``depth.hdepth_pair``) makes every bound
+below a cell of one cap row, ``depth.ring_beta_row(n, q)`` =
+(C(n-q+k-1, k))_{k<=q}: hdepth(I) >= q iff b_k^q(S/I) <= C(n-q+k-1, k) for
+every k <= q.
 
 * ``main``                   -- hdepth(I) >= hdepth(S/I) whenever q <= 6 or n <= 9;
 * ``principal-equivalence``  -- I principal <=> hdepth(I) = n <=> q = n-1;
 * ``bound-equivalence``      -- for nonprincipal I inside m^2:
-                                hdepth(I) >= q  <=>  b_k^q(S/I) <= C(n-q+k-1, k)
-                                for all 3 <= k <= q;
-* ``q6-bounds``              -- at q = 6 (same reductions): b_3^6 <= C(n-4,3),
-                                b_4^6 <= C(n-3,4), b_5^6 <= C(n-2,5),
-                                b_6^6 <= C(n-1,6);
-* ``lemma79``                -- at n = 9, q = 7: b_k^7 <= k+1 for 3 <= k <= 7,
-                                plus b_3^7 <= C(n-5,3);
-* ``beta47-bound``           -- at q = 7: b_4^7 <= C(n-4,4).  This one is a
-                                counterexample-search target, not part of the
+                                hdepth(I) >= q  <=>  no cap cell 3 <= k <= q fails;
+* ``q6-bounds``              -- at q = 6 (same reductions): the cells k = 3..6,
+                                C(n-4,3), C(n-3,4), C(n-2,5), C(n-1,6);
+* ``lemma79``                -- at n = 9, q = 7: the cells k = 3..7, which are k+1;
+* ``beta47-bound``           -- at q = 7: the cell k = 4, C(n-4,4).  This one is
+                                a counterexample-search target, not part of the
                                 verification suite: it is expected to fail
                                 somewhere.
+
+For k <= 2 the cap holds by itself inside m^2 (b_1^q = n-q,
+b_2^q <= C(n-q+1, 2)), and under ``lemma79``'s gate too.  So on their gates
+``q6-bounds`` and ``lemma79`` fail exactly when ``main`` fails: they restate
+it, and their agreement with it is algebra, not evidence.
+``bound-equivalence`` compares the two sides of the identity, so only a bug
+in this code can fail it.  ``principal-equivalence`` is the one check with
+content of its own.
 
 A verdict has that one encoding everywhere.  ``CHECKS`` / ``run_checks``
 apply the predicates to an HdepthReport and wrap each verdict in a
@@ -41,7 +50,7 @@ from .combinatorics import (binom, binom_diff, complement_counts, kk_upper_bound
                             macaulay_rep)
 # hdepth is not called here; perfbench/selftest.py pins the theorems.hdepth
 # binding that the benchmark's tracer rebinds, so the import stays
-from .depth import HdepthReport, hdepth, hdepth_pair, hdepth_report  # noqa: F401
+from .depth import HdepthReport, hdepth, hdepth_pair, hdepth_report, ring_beta_row  # noqa: F401
 from .ideals import Ideal
 
 
@@ -72,13 +81,21 @@ def _principal_equivalence(p: Profile) -> str | None:
     return f"principal={sides[0]}, hdepth(I)=n is {sides[1]}, hdepth(S/I)=n-1 is {sides[2]}"
 
 
+def _over_cap(p: Profile, ks) -> str:
+    """The cells k in ks where b_k^q(S/I) exceeds its cap b_k^q(S), as
+    'b_k^q = b > cap', joined by '; '; "" when none does."""
+    cap = ring_beta_row(p.n, p.q)
+    b = p.beta_q
+    return "; ".join(f"b_{k}^{p.q} = {b[k]} > {cap[k]}" for k in ks if b[k] > cap[k])
+
+
 def _bound_equivalence(p: Profile) -> str | None:
     """Both routes to 'hdepth(I) >= q' must agree: the depth computed from
-    alpha(I) versus the beta bounds of S/I at q."""
+    alpha(I) versus the cap cells of S/I at q."""
     if p.principal or not p.in_m2:
         return None
     left = p.h_ideal >= p.q
-    right = all(p.beta_q[k] <= binom(p.n - p.q + k - 1, k) for k in range(3, p.q + 1))
+    right = not _over_cap(p, range(3, p.q + 1))
     return "" if left == right else (
         f"hdepth(I) >= {p.q} is {left} but the beta bound test gives {right}")
 
@@ -86,26 +103,19 @@ def _bound_equivalence(p: Profile) -> str | None:
 def _q6_bounds(p: Profile) -> str | None:
     if p.q != 6 or p.principal or not p.in_m2:
         return None
-    caps = ((3, binom(p.n - 4, 3)), (4, binom(p.n - 3, 4)),
-            (5, binom(p.n - 2, 5)), (6, binom(p.n - 1, 6)))
-    return "; ".join(f"b_{k}^6 = {p.beta_q[k]} > {cap}" for k, cap in caps if p.beta_q[k] > cap)
+    return _over_cap(p, range(3, 7))
 
 
 def _lemma79(p: Profile) -> str | None:
     if p.n != 9 or p.q != 7:
         return None
-    b = p.beta_q
-    out = [f"b_{k}^7 = {b[k]} > {k + 1}" for k in range(3, 8) if b[k] > k + 1]
-    cap3 = binom(p.n - 5, 3)
-    if b[3] > cap3:
-        out.append(f"b_3^7 = {b[3]} > C({p.n}-5,3) = {cap3}")
-    return "; ".join(out)
+    return _over_cap(p, range(3, 8))
 
 
 def _beta47_bound(p: Profile) -> str | None:
     if p.q != 7:
         return None
-    cap = binom(p.n - 4, 4)
+    cap = ring_beta_row(p.n, 7)[4]
     return "" if p.beta_q[4] <= cap else f"b_4^7 = {p.beta_q[4]} > C({p.n}-4,4) = {cap}"
 
 

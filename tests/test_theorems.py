@@ -2,10 +2,11 @@
 
 import pytest
 
-from hilbertdepth.combinatorics import binom, binom_diff, complement_counts
+from hilbertdepth.combinatorics import (binom, binom_diff, binom_row, complement_counts,
+                                        kk_upper_bound, macaulay_rep)
 from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumerate_ideals,
                                  random_ideal, sample_rng)
-from hilbertdepth.depth import hdepth_report
+from hilbertdepth.depth import beta_values, hdepth_report, ring_beta_row
 from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
 from hilbertdepth.theorems import (CHECK_ORDER, CHECKS, VERIFY_CHECKS,
                                    _principal_profiles, evaluate_profile,
@@ -107,9 +108,15 @@ N9_Q6_ALPHA = (1, 9, 36, 82, 105, 91, 40, 0, 0, 0)
 N9_Q7_ALPHA = (1, 9, 36, 84, 123, 111, 64, 20, 0, 0)
 
 
+# Every failing n = 9 prefix, zero-padded: the exact scan finds these 10 at
+# q = 6 and 2 at q = 7, and no other.
+N9_FAILING_ALPHAS = ([(1, 9, 36, 82, 105, 91, a6, 0, 0, 0) for a6 in range(40, 50)]
+                     + [(1, 9, 36, 84, 123, 111, 64, a7, 0, 0) for a7 in (20, 21)])
+
+
 def test_evaluate_profile_matches_rich_checkers_exhaustive():
     ideals = [ideal for n in range(1, 5) for ideal in enumerate_ideals(n)]
-    ideals += [compressed_complex_ideal(9, alpha) for alpha in (N9_Q6_ALPHA, N9_Q7_ALPHA)]
+    ideals += [compressed_complex_ideal(9, alpha) for alpha in N9_FAILING_ALPHAS]
     for ideal in ideals:
         r = hdepth_report(ideal)
         profile = evaluate_profile(ideal.n, tuple(r.alpha_quotient))
@@ -119,6 +126,45 @@ def test_evaluate_profile_matches_rich_checkers_exhaustive():
         assert profile.in_m2 == r.in_m2
         for name, verdict in zip(CHECK_ORDER, profile.verdicts):
             assert verdict == CHECKS[name](r).verdict, (name, ideal)
+        if ideal.n == 9:
+            # main and one cap check fail together, on the one cap cell
+            failing = {name: v for name, v in zip(CHECK_ORDER, profile.verdicts) if v}
+            cap_check, cell = (("q6-bounds", "b_5^6 = 22 > 21") if profile.q == 6
+                               else ("lemma79", "b_6^7 = 8 > 7"))
+            assert set(failing) == {"main", cap_check}, ideal
+            assert failing[cap_check] == cell
+
+
+def _realizable_profiles(n):
+    """Every Kruskal-Katona-realizable alpha(S/I) with a_0 = 1 but the full
+    simplex: a_d runs over [0, min(C(n,d), KK+(a_{d-1}))]."""
+    def walk(prefix):
+        d = len(prefix)
+        if d > n:
+            yield prefix
+            return
+        upper = n if d == 1 else kk_upper_bound(macaulay_rep(prefix[-1], d - 1))
+        for a in range(min(binom(n, d), upper) + 1):
+            yield from walk(prefix + (a,))
+    return [alpha for alpha in walk((1,)) if alpha != binom_row(n)]
+
+
+def test_cap_checks_restate_main_on_every_profile_n7_n8():
+    # by b_k^q(I) = b_k^q(S) - b_k^q(S/I), q6-bounds and lemma79 fail on their
+    # gates exactly when main fails, and bound-equivalence never fails
+    counts = {}
+    for n in (7, 8):
+        profiles = _realizable_profiles(n)
+        q6_applicable = 0
+        for alpha in profiles:
+            v = dict(zip(CHECK_ORDER, evaluate_profile(n, alpha).verdicts))
+            if v["q6-bounds"] is not None:
+                q6_applicable += 1
+                assert bool(v["q6-bounds"]) == bool(v["main"]), alpha
+            assert v["lemma79"] is None
+            assert not v["bound-equivalence"], alpha
+        counts[n] = (len(profiles), q6_applicable)
+    assert counts == {7: (5459, 0), 8: (100707, 938)}
 
 
 def _lookup_agrees(n, alpha_sf):
@@ -250,9 +296,17 @@ def test_beta47_check_is_search_only():
     assert not out.applicable
 
 
-def test_q7_bound_cap_consistency():
-    # at n = 9 the b_3^7 cap C(n-5,3) coincides with the k+1 cap
-    assert binom(4, 3) == 4 == 3 + 1
+def test_cap_row_is_the_beta_row_of_s():
+    # the row every cap check reads, against the beta transform of alpha(S)
+    for n in range(21):
+        for d in range(n + 1):
+            assert ring_beta_row(n, d) == beta_values(binom_row(n), d), (n, d)
+    # the caps the checks name
+    assert ring_beta_row(9, 7)[3:] == (4, 5, 6, 7, 8)  # lemma79: k + 1
+    for n in range(7, 21):
+        assert ring_beta_row(n, 6)[3:7] == (binom(n - 4, 3), binom(n - 3, 4),
+                                            binom(n - 2, 5), binom(n - 1, 6))
+        assert ring_beta_row(n, 7)[4] == binom(n - 4, 4)
 
 
 def test_beta47_witness_exists_and_roundtrips():
