@@ -6,9 +6,11 @@ lattice (the downset is the set of monomials *outside* the ideal, i.e. the
 faces of a simplicial complex; the minimal non-faces are the generators).
 ``enumerate_ideals`` walks exactly these downsets by backtracking over degree
 levels, so it is duplicate-free by construction; the supported ceiling is
-n <= EXHAUSTIVE_N_MAX (downset counts explode beyond ~7.8M at n = 6).  Level
-n is never walked: its one face lies only in the full downset (I = 0), which
-is excluded, so every walk stops at level n - 1.
+n <= EXHAUSTIVE_N_MAX (downset counts explode beyond ~7.8M at n = 6).  At
+each level the walk holds the sets whose facets all lie in the level below,
+and the ones it leaves out of the downset are that degree's generators.
+Level n is never chosen: its one face lies only in the full downset (I = 0),
+which is excluded, so the walk chooses levels 1..n-1 only.
 
 The verification harness aggregates per distinct alpha vector: every check it
 runs is a function of (n, alpha(S/I)) alone, so exhaustive runs tally an
@@ -64,37 +66,14 @@ _SLICE_BITS = 10
 _SLICE_MASK = (1 << _SLICE_BITS) - 1
 
 
-class _Levels:
-    """Per-n tables for walking downsets level by level.
-
-    masks[d] lists the degree-d variable-masks in ascending order; facet bit
-    i of facet_bits[d][i] indexes into level d-1.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.masks: list[list[int]] = [[] for _ in range(n + 1)]
-        for m in range(1, 1 << n):
-            self.masks[m.bit_count()].append(m)
-        index = [{m: i for i, m in enumerate(level)} for level in self.masks]
-        self.facet_bits: list[list[int]] = [[], [0] * len(self.masks[1])]
-        for d in range(2, n + 1):
-            rows = []
-            for m in self.masks[d]:
-                bits = 0
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    bits |= 1 << index[d - 1][m ^ low]
-                    mm ^= low
-                rows.append(bits)
-            self.facet_bits.append(rows)
-        self.full = [(1 << len(level)) - 1 for level in self.masks]
-
-
-@lru_cache(maxsize=8)
-def _levels(n: int) -> _Levels:
-    return _Levels(n)
+@lru_cache(maxsize=None)
+def _level_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """The degree-d variable-masks of each level d = 0..n, in ascending order;
+    bit i of a level selection stands for the level's i-th mask."""
+    masks: list[list[int]] = [[] for _ in range(n + 1)]
+    for m in range(1 << n):
+        masks[m.bit_count()].append(m)
+    return tuple(map(tuple, masks))
 
 
 @lru_cache(maxsize=None)
@@ -108,26 +87,28 @@ def _slice_tables(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     (top the slice's all-ones value) keeps the sets with no facet outside v:
     2^B steps for a B-bit slice.
     """
-    lv = _levels(n)
-    size = len(lv.masks[d - 1])
+    below, level = _level_masks(n)[d - 1:d + 1]
+    index = {m: i for i, m in enumerate(level)}
+    full = (1 << len(level)) - 1
     tables = []
-    for lo in range(0, size, _SLICE_BITS):
-        width = min(_SLICE_BITS, size - lo)
-        has = [sum(1 << i for i, req in enumerate(lv.facet_bits[d]) if req >> b & 1)
-               for b in range(lo, lo + width)]
+    for lo in range(0, len(below), _SLICE_BITS):
+        width = min(_SLICE_BITS, len(below) - lo)
+        # the level-d sets that have f as a facet are f plus one more variable
+        has = [sum(1 << index[f | 1 << v] for v in range(n) if not f >> v & 1)
+               for f in below[lo:lo + width]]
         missing = [0] * (1 << width)
         for c in range(1, 1 << width):
             low = c & -c
             missing[c] = missing[c ^ low] | has[low.bit_length() - 1]
         top = (1 << width) - 1
-        tables.append(tuple(lv.full[d] & ~missing[top ^ v] for v in range(top + 1)))
+        tables.append(tuple(full & ~missing[top ^ v] for v in range(top + 1)))
     return tuple(tables)
 
 
-def _allowed(lv: _Levels, d: int, prev: int) -> int:
+def _allowed(n: int, d: int, prev: int) -> int:
     """Level-d sets whose facets all lie in the level-(d-1) selection ``prev``."""
-    allowed = lv.full[d]
-    for table in _slice_tables(lv.n, d):
+    allowed = (1 << len(_level_masks(n)[d])) - 1
+    for table in _slice_tables(n, d):
         allowed &= table[prev & _SLICE_MASK]
         prev >>= _SLICE_BITS
     return allowed
@@ -141,53 +122,42 @@ def _check_exhaustive_n(n: int):
             f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_N_MAX}, got {n}")
 
 
-def enumerate_downsets(n: int):
-    """Yield every proper-nonzero-ideal downset as per-level index bitmasks.
+def enumerate_ideals(n: int):
+    """Yield every proper nonzero squarefree ideal on n variables exactly once.
 
-    Levels 1..n-1 are walked depth first, each level's subsets in descending
-    bitmask order.  Level n is not walked: its one face lies only in the full
-    downset (I = 0), which is excluded, so every leaf ends in an empty level n.
+    Levels 1..n-1 are walked depth first from level 0's one face, the empty
+    set, each level's subsets of the sets it allows in descending bitmask
+    order.  The degree-d generators, the minimal non-faces, are the allowed
+    sets the subset leaves out.  Level n is never chosen: its one face lies
+    only in the full downset (I = 0), which is excluded, so its allowed set
+    is all generator.  The generators come out sorted by (degree, mask).
     """
-    _check_exhaustive_n(n)
-    lv = _levels(n)
+    _check_exhaustive_n(n)  # before the level table is built
+    masks = _level_masks(n)
 
-    def rec(d: int, prefix: tuple[int, ...]):
+    def rec(d: int, prev: int, gens: tuple[int, ...]):
+        allowed = _allowed(n, d, prev)
         if d == n:
-            yield prefix + (0,)
+            yield Ideal(n, gens + tuple(m for i, m in enumerate(masks[n]) if allowed >> i & 1))
             return
-        allowed = _allowed(lv, d, prefix[-1] if prefix else 0)
         s = allowed
         while True:
-            yield from rec(d + 1, prefix + (s,))
+            left = allowed & ~s
+            yield from rec(d + 1, s, gens + tuple(m for i, m in enumerate(masks[d])
+                                                  if left >> i & 1))
             if s == 0:
                 return
             s = (s - 1) & allowed
 
-    yield from rec(1, ())
-
-
-def enumerate_ideals(n: int):
-    """Yield every proper nonzero squarefree ideal on n variables exactly once.
-
-    Its generators are the downset's minimal non-faces, sorted by (degree, mask).
-    """
-    _check_exhaustive_n(n)  # before the level table is built
-    lv = _levels(n)
-    for leaf in enumerate_downsets(n):
-        gens = []
-        for d in range(1, n + 1):
-            chosen, prev = leaf[d - 1], leaf[d - 2] if d > 1 else 0
-            gens += [m for i, m in enumerate(lv.masks[d])
-                     if not chosen >> i & 1 and lv.facet_bits[d][i] & ~prev == 0]
-        yield Ideal(n, tuple(gens))
+    yield from rec(1, 1, ())
 
 
 def alpha_census(n: int) -> Counter:
     """Counter of alpha(S/I) over every proper nonzero ideal.
 
     Keys are the full tuples (1, a_1, ..., a_n); the downset at level d has
-    a_d faces, and a_n is always 0 (level n is not walked, as in
-    ``enumerate_downsets``).  Levels d..n-1 depend on the levels below only
+    a_d faces, and a_n is always 0 (level n is never chosen, as in
+    ``enumerate_ideals``).  Levels d..n-1 depend on the levels below only
     through the level-d sets they allow, so ``suffix(d, allowed)`` counts the
     selections of levels d..n-1 by their tail (a_d, ..., a_{n-1}) once per
     distinct ``allowed`` mask: the subsets grouped by (size, next allowed
@@ -199,7 +169,7 @@ def alpha_census(n: int) -> Counter:
     counts, not 2^|allowed|.
     """
     _check_exhaustive_n(n)
-    lv = _levels(n)
+    masks = _level_masks(n)
 
     @lru_cache(maxsize=None)
     def slice_groups(d: int, i: int, bits: int) -> dict[tuple[int, int], int]:
@@ -217,7 +187,7 @@ def alpha_census(n: int) -> Counter:
     def suffix(d: int, allowed: int) -> dict[tuple[int, ...], int]:
         if d == n:  # n = 1: there is no level to select
             return {(): 1}
-        groups = {(0, lv.full[d + 1]): 1}
+        groups = {(0, (1 << len(masks[d + 1])) - 1): 1}
         for i in range(len(_slice_tables(n, d + 1))):
             part = slice_groups(d, i, allowed >> i * _SLICE_BITS & _SLICE_MASK).items()
             merged: dict[tuple[int, int], int] = {}
@@ -234,7 +204,7 @@ def alpha_census(n: int) -> Counter:
         return tails
 
     return Counter({(1,) + tail + (0,): count
-                    for tail, count in suffix(1, _allowed(lv, 1, 0)).items()})
+                    for tail, count in suffix(1, (1 << n) - 1).items()})
 
 
 # --- compressed complexes -------------------------------------------------------

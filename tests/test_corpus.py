@@ -14,7 +14,7 @@ from hilbertdepth.combinatorics import colex_mask
 from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  alpha_census, compressed_complex_ideal,
                                  default_degree_weights,
-                                 enumerate_downsets, enumerate_ideals,
+                                 enumerate_ideals,
                                  find_ideal_with_alpha, random_gen_masks,
                                  random_ideal,
                                  run_verification, sample_rng,
@@ -79,6 +79,14 @@ def test_enumerate_small_cases():
     assert got == {"x1", "x2", "x1, x2", "x1*x2"}
 
 
+def test_enumeration_order_n5():
+    # the listing order is what the exhaustive CSV's bytes follow; the golden
+    # digests pin it only at n = 4
+    listing = "\n".join(map(str, enumerate_ideals(5)))
+    digest = hashlib.sha256(listing.encode()).hexdigest()
+    assert digest == "e5bc9e01a4fd68ea0bda8387c17b53607d4809e76736f566601ecf2eec67cf0c"
+
+
 def test_enumeration_no_duplicates_and_invariants():
     for n in range(1, 5):
         seen = set()
@@ -127,38 +135,47 @@ def test_census_n6_digest(census6):
 
 def test_slice_tables_match_their_definition():
     # entry v of slice i's table: the level-d sets whose facets inside the
-    # slice all lie in v, read straight from the facet rows
+    # slice all lie in v, read from facet rows built here from the ascending
+    # degree-d masks
     for n in range(1, 7):
-        lv, bits = corpus._levels(n), corpus._SLICE_BITS
+        bits = corpus._SLICE_BITS
+        levels = [[m for m in range(1 << n) if m.bit_count() == d] for d in range(n + 1)]
         for d in range(1, n + 1):
-            size = len(lv.masks[d - 1])
+            size = len(levels[d - 1])
+            facet_rows = [sum(1 << levels[d - 1].index(m ^ 1 << b) for b in range(n) if m >> b & 1)
+                          for m in levels[d]]
             tables = corpus._slice_tables(n, d)
             assert len(tables) == -(-size // bits)
             for i, table in enumerate(tables):
                 width = min(bits, size - bits * i)
                 assert len(table) == 1 << width
-                reqs = [req >> bits * i & (1 << width) - 1 for req in lv.facet_bits[d]]
+                reqs = [req >> bits * i & (1 << width) - 1 for req in facet_rows]
                 for v, entry in enumerate(table):
                     assert entry == sum(1 << j for j, req in enumerate(reqs)
                                         if req & ~v == 0), (n, d, i, v)
 
 
 def test_downsets_are_closed_families():
-    # read each leaf through its own table of the degree-d masks (ascending),
-    # not through the walker's facet tables
+    # each ideal's faces are the masks it does not contain, read by brute
+    # force from its generators, not through the walker's tables
     for n in range(1, 5):
-        level_masks = [[m for m in range(1, 1 << n) if bin(m).count("1") == d]
-                       for d in range(n + 1)]
         families = set()
-        for leaf in enumerate_downsets(n):
-            assert len(leaf) == n and leaf[n - 1] == 0  # level n is empty
-            faces = {0} | {m for d in range(1, n + 1)
-                           for i, m in enumerate(level_masks[d]) if leaf[d - 1] >> i & 1}
+        listed = 0
+        for ideal in enumerate_ideals(n):
+            faces = frozenset(m for m in range(1 << n)
+                              if all(g & ~m for g in ideal.gens))
+            assert 0 in faces and (1 << n) - 1 not in faces, (n, ideal)
             for m in faces:
-                # downward closed: every facet of a selected face is selected
-                assert all(m ^ (1 << b) in faces for b in range(n) if m >> b & 1), (n, leaf)
-            families.add(frozenset(faces))
-        assert len(families) == PROPER_IDEAL_COUNTS[n]
+                # downward closed: every facet of a face is a face
+                assert all(m ^ (1 << b) in faces for b in range(n) if m >> b & 1), (n, ideal)
+            # the generators are exactly the minimal non-faces, by (degree, mask)
+            minimal = sorted((m for m in range(1 << n) if m not in faces and
+                              all(m ^ (1 << b) in faces for b in range(n) if m >> b & 1)),
+                             key=lambda m: (m.bit_count(), m))
+            assert list(ideal.gens) == minimal, (n, ideal)
+            families.add(faces)
+            listed += 1
+        assert len(families) == listed == PROPER_IDEAL_COUNTS[n]
 
 
 # --- random generation -------------------------------------------------------

@@ -8,8 +8,8 @@ from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumera
                                  random_ideal, sample_rng)
 from hilbertdepth.depth import beta_values, hdepth_report, ring_beta_row
 from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
-from hilbertdepth.theorems import (CHECK_ORDER, CHECKS, VERIFY_CHECKS,
-                                   _principal_profiles, evaluate_profile,
+from hilbertdepth.theorems import (CHECK_ORDER, CHECKS, PREDICATES, VERIFY_CHECKS,
+                                   Profile, _principal_profiles, evaluate_profile,
                                    principal_alpha_profile, reproduce_bound_tables,
                                    run_checks, witness_from_ideal)
 
@@ -307,6 +307,28 @@ def test_cap_row_is_the_beta_row_of_s():
         assert ring_beta_row(n, 6)[3:7] == (binom(n - 4, 3), binom(n - 3, 4),
                                             binom(n - 2, 5), binom(n - 1, 6))
         assert ring_beta_row(n, 7)[4] == binom(n - 4, 4)
+
+
+def test_every_cap_cell_is_read():
+    # realizable profiles fail only k = 5 at q = 6 and k = 6 at q = 7, so each
+    # (check, k) gets a hand-built Profile: the row of S, which meets every
+    # cap, with only cell k raised by 1
+    cells = ([("q6-bounds", n, 6, k) for n in (7, 9, 12) for k in range(3, 7)]
+             + [("lemma79", 9, 7, k) for k in range(3, 8)]
+             + [("beta47-bound", n, 7, 4) for n in (8, 10, 14)]
+             + [("bound-equivalence", n, q, k)
+                for n in (9, 10) for q in range(3, n) for k in range(3, q + 1)])
+    for name, n, q, k in cells:
+        cap = ring_beta_row(n, q)
+        raised = cap[:k] + (cap[k] + 1,) + cap[k + 1:]
+        # h_ideal = q, nonprincipal, inside m^2: every gate holds
+        plain, over = (PREDICATES[name](Profile(n, q, q, False, True, row))
+                       for row in (cap, raised))
+        assert plain == "", (name, n, q, k)
+        if name == "bound-equivalence":  # its verdict names the disagreement, not the cell
+            assert over == f"hdepth(I) >= {q} is True but the beta bound test gives False"
+        else:
+            assert f"b_{k}^{q} = {cap[k] + 1} > " in over, (name, n, q, k, over)
 
 
 def test_beta47_witness_exists_and_roundtrips():
