@@ -1,9 +1,9 @@
-"""Exact binomial machinery: Pascal table, Macaulay representations, shadow bounds.
+"""Exact binomial machinery: binomials, Macaulay representations, shadow bounds.
 
 Everything here is exact integer arithmetic.  The central objects are
 
-* ``binom(n, k)`` -- C(n, k) from a precomputed Pascal triangle, hard-capped at
-  ``n <= N_MAX`` (the cap that every ideal/depth computation lives under);
+* ``binom(n, k)`` -- C(n, k), hard-capped at ``n <= N_MAX`` (the cap that
+  every ideal/depth computation lives under);
 * the k-binomial ("Macaulay") representation of a nonnegative integer,
 
       N = C(n_k, k) + C(n_{k-1}, k-1) + ... + C(n_j, j),
@@ -23,20 +23,12 @@ binomials are evaluated exactly on demand.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
-from operator import add, sub
+from operator import sub
 from typing import NamedTuple
 
 N_MAX = 40
-
-def _pascal(limit: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(1,)]
-    for n in range(1, limit + 1):
-        prev = rows[-1]
-        rows.append((1, *map(add, prev, prev[1:]), 1))
-    return tuple(rows)
-
-_PASCAL = _pascal(N_MAX)
 
 
 def binom(n: int, k: int) -> int:
@@ -50,14 +42,15 @@ def binom(n: int, k: int) -> int:
         raise ValueError(f"binom: n={n} outside supported range [0, {N_MAX}]")
     if k < 0 or k > n:
         return 0
-    return _PASCAL[n][k]
+    return comb(n, k)
 
 
+@lru_cache(maxsize=None)
 def binom_row(n: int) -> tuple[int, ...]:
     """The full row (C(n,0), ..., C(n,n))."""
     if not 0 <= n <= N_MAX:
         raise ValueError(f"binom_row: n={n} outside supported range [0, {N_MAX}]")
-    return _PASCAL[n]
+    return tuple(comb(n, k) for k in range(n + 1))
 
 
 def complement_counts(n: int, counts) -> tuple[int, ...]:

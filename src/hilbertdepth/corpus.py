@@ -443,8 +443,8 @@ def _profile_loop(n: int, items):
     """Evaluate each distinct profile of ``items`` once, in first-seen order.
 
     ``items`` yields (alpha(S/I), count, source), and ``profiles[alpha]`` is
-    ``[count, ProfileOutcome, source]``: the count summed over the items, the
-    source the first item's.
+    ``[count, (Profile, verdicts), source]``: the count summed over the items,
+    ``evaluate_profile``'s pair, and the first item's source.
     """
     profiles: dict[tuple, list] = {}
     for alpha, count, source in items:
@@ -527,8 +527,8 @@ def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
     with closing(parts):
         for profiles in parts:
             witnesses = []
-            for alpha, (_, outcome, source) in profiles.items():
-                failing = [name for name, pos in positions if outcome.verdicts[pos]]
+            for alpha, (_, (_, verdicts), source) in profiles.items():
+                failing = [name for name, pos in positions if verdicts[pos]]
                 if not failing or found >= cap or alpha in realized:
                     continue
                 realized.add(alpha)
@@ -561,10 +561,10 @@ def run_verification(plan: EnumerationPlan) -> VerifySummary:
         for profiles, part_witnesses in parts:
             alphas.update(profiles)
             witnesses += part_witnesses
-            for count, outcome, _ in profiles.values():
-                q_hist[outcome.q] = q_hist.get(outcome.q, 0) + count
+            for count, (profile, verdicts), _ in profiles.values():
+                q_hist[profile.q] = q_hist.get(profile.q, 0) + count
                 # VERIFY_CHECKS is a prefix of CHECK_ORDER, the order of the verdicts
-                for t, verdict in zip(tallies.values(), outcome.verdicts):
+                for t, verdict in zip(tallies.values(), verdicts):
                     if verdict is not None:
                         t.applicable += count
                         if verdict:

@@ -27,7 +27,7 @@ from itertools import islice
 from operator import sub
 from typing import NamedTuple
 
-from .combinatorics import _PASCAL, binom, binom_row
+from .combinatorics import binom, binom_row
 from .errors import DomainError
 from .ideals import Ideal, alpha_of_ideal, alpha_of_quotient
 
@@ -62,7 +62,7 @@ def alpha_from_beta(row) -> tuple[int, ...]:
     of beta_values."""
     q = len(row) - 1
     return tuple(
-        sum(_PASCAL[q - j][k - j] * row[j] for j in range(k + 1))
+        sum(binom(q - j, k - j) * row[j] for j in range(k + 1))
         for k in range(q + 1)
     )
 

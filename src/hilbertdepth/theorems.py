@@ -33,8 +33,8 @@ apply the predicates to an HdepthReport and wrap each verdict in a
 CheckOutcome, with a witness dict when it fails.  ``evaluate_profile`` is the
 allocation-light path of the corpus harness: a Profile is a function of n and
 alpha(S/I) alone (principality included, via the profile of alpha(I)), so
-runs are aggregated per distinct alpha vector, and its ProfileOutcome carries
-every predicate's verdict, in CHECK_ORDER, to the harness's tally.
+runs are aggregated per distinct alpha vector, and it hands the harness's
+tally that Profile with every predicate's verdict on it, in CHECK_ORDER.
 
 ``reproduce_bound_tables`` regenerates the auxiliary difference tables
 x -> C(x,k) - c*C(x,k-1) that the level-6/level-7 bound derivations tabulate,
@@ -220,16 +220,9 @@ def witness_from_ideal(I: Ideal, name: str) -> dict | None:
 
 # --- fast alpha-profile evaluation (corpus harness) ---------------------------
 
-class ProfileOutcome(NamedTuple):
-    q: int
-    h_ideal: int
-    principal: bool
-    in_m2: bool
-    verdicts: tuple[str | None, ...]  # one per CHECK_ORDER entry
-
-
-def evaluate_profile(n: int, alpha_sf) -> ProfileOutcome:
-    """Run every named check from (n, alpha(S/I)) alone.
+def evaluate_profile(n: int, alpha_sf) -> tuple[Profile, tuple[str | None, ...]]:
+    """Run every named check from (n, alpha(S/I)) alone: the Profile the
+    predicates read, and their verdicts in CHECK_ORDER.
 
     Principality is a lookup of alpha(S/I) in ``_principal_profiles(n)``.
     """
@@ -238,8 +231,7 @@ def evaluate_profile(n: int, alpha_sf) -> ProfileOutcome:
     principal = alpha_sf in _principal_profiles(n)
     in_m2 = alpha_sf[0] == 1 and alpha_sf[1] == n
     profile = Profile(n, q, h_ideal, principal, in_m2, beta_q)
-    return ProfileOutcome(q, h_ideal, principal, in_m2,
-                          tuple(check(profile) for check in PREDICATES.values()))
+    return profile, tuple(check(profile) for check in PREDICATES.values())
 
 
 # --- published difference tables ----------------------------------------------

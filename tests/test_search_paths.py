@@ -13,7 +13,11 @@ from hilbertdepth import corpus
 from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS, random_gen_masks,
                                  random_ideal, sample_rng, search_counterexample)
 from hilbertdepth.ideals import alpha_of_quotient, minimalize
-from hilbertdepth.theorems import CHECK_ORDER, ProfileOutcome
+from hilbertdepth.theorems import CHECK_ORDER, Profile
+
+
+# a stand-in for the Profile the verdicts read; the harness takes only its q
+_PROFILE = Profile(0, 0, 0, False, True, (1,))
 
 
 def _always_failing(name):
@@ -23,7 +27,7 @@ def _always_failing(name):
     def evaluate(n, alpha_sf):
         verdicts = [None] * len(CHECK_ORDER)
         verdicts[pos] = "injected"
-        return ProfileOutcome(0, 0, False, True, tuple(verdicts))
+        return _PROFILE, tuple(verdicts)
 
     return evaluate
 
@@ -76,7 +80,7 @@ def test_search_memory_does_not_grow_with_its_budget(monkeypatch):
     # every profile of its budget: here each sample has a profile of its own,
     # none applies, and the tasks are small, so ten times the budget is ten
     # times the tasks and the profiles, and the same peak
-    outcome = ProfileOutcome(0, 0, False, True, (None,) * len(CHECK_ORDER))
+    outcome = _PROFILE, (None,) * len(CHECK_ORDER)
     distinct = itertools.count()
     monkeypatch.setattr(corpus, "random_gen_masks", lambda n, rng: [])
     monkeypatch.setattr(corpus, "alpha_counts_of_ideal",

@@ -9,9 +9,9 @@ from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumera
 from hilbertdepth.depth import beta_values, hdepth_report, ring_beta_row
 from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
 from hilbertdepth.theorems import (CHECK_ORDER, CHECKS, PREDICATES, VERIFY_CHECKS,
-                                   Profile, _principal_profiles, evaluate_profile,
-                                   principal_alpha_profile, reproduce_bound_tables,
-                                   run_checks, witness_from_ideal)
+                                   Profile, _principal_profiles, _report_profile,
+                                   evaluate_profile, principal_alpha_profile,
+                                   reproduce_bound_tables, run_checks, witness_from_ideal)
 
 
 def test_registry_names():
@@ -119,16 +119,13 @@ def test_evaluate_profile_matches_rich_checkers_exhaustive():
     ideals += [compressed_complex_ideal(9, alpha) for alpha in N9_FAILING_ALPHAS]
     for ideal in ideals:
         r = hdepth_report(ideal)
-        profile = evaluate_profile(ideal.n, tuple(r.alpha_quotient))
-        assert profile.q == r.hdepth_quotient
-        assert profile.h_ideal == r.hdepth_ideal
-        assert profile.principal == r.principal
-        assert profile.in_m2 == r.in_m2
-        for name, verdict in zip(CHECK_ORDER, profile.verdicts):
+        profile, verdicts = evaluate_profile(ideal.n, tuple(r.alpha_quotient))
+        assert profile == _report_profile(r), ideal
+        for name, verdict in zip(CHECK_ORDER, verdicts):
             assert verdict == CHECKS[name](r).verdict, (name, ideal)
         if ideal.n == 9:
             # main and one cap check fail together, on the one cap cell
-            failing = {name: v for name, v in zip(CHECK_ORDER, profile.verdicts) if v}
+            failing = {name: v for name, v in zip(CHECK_ORDER, verdicts) if v}
             cap_check, cell = (("q6-bounds", "b_5^6 = 22 > 21") if profile.q == 6
                                else ("lemma79", "b_6^7 = 8 > 7"))
             assert set(failing) == {"main", cap_check}, ideal
@@ -157,7 +154,7 @@ def test_cap_checks_restate_main_on_every_profile_n7_n8():
         profiles = _realizable_profiles(n)
         q6_applicable = 0
         for alpha in profiles:
-            v = dict(zip(CHECK_ORDER, evaluate_profile(n, alpha).verdicts))
+            v = dict(zip(CHECK_ORDER, evaluate_profile(n, alpha)[1]))
             if v["q6-bounds"] is not None:
                 q6_applicable += 1
                 assert bool(v["q6-bounds"]) == bool(v["main"]), alpha
@@ -170,7 +167,7 @@ def test_cap_checks_restate_main_on_every_profile_n7_n8():
 def _lookup_agrees(n, alpha_sf):
     expected = principal_alpha_profile(n, complement_counts(n, alpha_sf))
     assert (alpha_sf in _principal_profiles(n)) == expected, (n, alpha_sf)
-    assert evaluate_profile(n, alpha_sf).principal == expected, (n, alpha_sf)
+    assert evaluate_profile(n, alpha_sf)[0].principal == expected, (n, alpha_sf)
     return expected
 
 
