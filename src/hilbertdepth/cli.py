@@ -51,7 +51,7 @@ def _strs(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected a range like 3..6, got {text!r}")
@@ -61,7 +61,7 @@ def _parse_n_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected integers in range {text!r}")
     if a > b:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return list(range(a, b + 1))
+    return range(a, b + 1)
 
 
 def _positive_int(text: str) -> int:
@@ -274,7 +274,7 @@ def cmd_verify(args) -> int:
 
     summaries = [run_verification(plan) for plan in plans]
     total_failures = sum(s.total_failures for s in summaries)
-    config = {"n_values": n_values, "mode": mode, "samples": args.samples,
+    config = {"n_values": list(n_values), "mode": mode, "samples": args.samples,
               "seed": args.seed, "workers": args.workers}
     results = {"summaries": [_summary_json(s, args.deterministic) for s in summaries],
                "total_failures": total_failures}
@@ -306,7 +306,7 @@ def cmd_search(args) -> int:
     mode = args.mode or "random"
     combined, per_n = search_n_range(args.predicate, n_values, mode, args.samples or 0,
                                      args.seed, args.workers, args.max_witnesses)
-    config = {"predicate": args.predicate, "n_values": n_values, "mode": mode,
+    config = {"predicate": args.predicate, "n_values": list(n_values), "mode": mode,
               "samples": args.samples, "seed": args.seed,
               "workers": args.workers, "max_witnesses": args.max_witnesses}
     results = _search_json(combined, args.deterministic)

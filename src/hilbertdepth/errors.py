@@ -20,5 +20,5 @@ class DomainError(ValueError):
 
 
 class CapacityError(ValueError):
-    """Input exceeds a documented size limit (variable count, enumeration
-    ceiling, or binomial table range)."""
+    """Input exceeds a documented size limit (the variable count N_MAX, or an
+    enumeration or alpha-counting ceiling)."""

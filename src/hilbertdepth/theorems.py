@@ -115,8 +115,7 @@ def _lemma79(p: Profile) -> str | None:
 def _beta47_bound(p: Profile) -> str | None:
     if p.q != 7:
         return None
-    cap = ring_beta_row(p.n, 7)[4]
-    return "" if p.beta_q[4] <= cap else f"b_4^7 = {p.beta_q[4]} > C({p.n}-4,4) = {cap}"
+    return _over_cap(p, (4,))
 
 
 PREDICATES = {

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -621,3 +622,20 @@ def test_multi_n_commands_check_every_n_before_scanning(capsys, monkeypatch):
         assert code == 4, argv
         assert out == "" and "capacity error" in err
     assert calls == []
+
+
+def test_wide_n_range_is_checked_without_listing_it(capsys):
+    # both commands stop at the first n past their ceiling (7 and 26); the
+    # range is never listed, so its width costs no memory
+    for argv in (["verify", "--exhaustive", "--n-range", "1..2000000"],
+                 ["search", "--predicate", "main", "--random", "--n-range", "2..2000000",
+                  "--samples", "5", "--seed", "1"]):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4, argv
+        assert out == "" and "capacity error" in err
+        assert peak < 1 << 20, (argv, peak)

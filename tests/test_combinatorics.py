@@ -1,4 +1,4 @@
-"""Binomial table, Macaulay representations, and shadow bounds."""
+"""Binomials, Macaulay representations, and shadow bounds."""
 
 from itertools import combinations
 from math import comb
@@ -13,7 +13,7 @@ from hilbertdepth.combinatorics import (N_MAX, MacaulayRep, binom, binom_diff,
 
 
 def pascal_oracle(limit):
-    """Triangle built row by row, independently of the module's table."""
+    """Pascal's triangle built row by row, independently of ``math.comb``."""
     rows = [[1]]
     for n in range(1, limit + 1):
         prev = rows[-1] + [0]

@@ -336,7 +336,7 @@ def test_beta47_witness_exists_and_roundtrips():
     ideal = compressed_complex_ideal(10, alpha)
     witness = witness_from_ideal(ideal, "beta47-bound")
     assert witness is not None
-    assert witness["violated"] == "b_4^7 = 19 > C(10-4,4) = 15"
+    assert witness["violated"] == "b_4^7 = 19 > 15"
     assert witness["hdepth_quotient"] == 7
     # the witness re-parses and re-verifies to the same outcome
     reparsed = parse_ideal(witness["ideal"], witness["n"])
