@@ -405,6 +405,21 @@ def test_verify_csv_rows(capsys):
         assert report.hdepth_quotient == int(row[header.index("hdepth_quotient")])
 
 
+def test_verify_csv_failing_rows(capsys, monkeypatch):
+    # the two samples are the pinned n = 9 profiles: q = 6, where main and
+    # q6-bounds fail, then q = 7, where main and lemma79 fail
+    ideals = iter([compressed_complex_ideal(9, (1, 9, 36, 82, 105, 91, 40, 0, 0, 0)),
+                   compressed_complex_ideal(9, (1, 9, 36, 84, 123, 111, 64, 20, 0, 0))])
+    monkeypatch.setattr(cli, "random_ideal", lambda n, rng: next(ideals))
+    code, out, _ = run_cli(capsys, "verify", "--random", "-n", "9", "--samples", "2",
+                           "--seed", "0", "--format", "csv")
+    assert code == 1
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header[-5:] == ["main", "principal-equivalence", "bound-equivalence",
+                           "q6-bounds", "lemma79"]
+    assert [",".join(row[-5:]) for row in rows] == ["0,1,1,0,", "0,1,1,,0"]
+
+
 def test_verify_out_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "verify", "--exhaustive", "-n", "3",
