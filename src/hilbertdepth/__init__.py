@@ -18,13 +18,13 @@ from .depth import (HdepthReport, alpha_from_beta, beta_values, hdepth,
 from .errors import CapacityError, DomainError, ParseError
 from .ideals import (Ideal, alpha_of_ideal, alpha_of_quotient, alpha_vector,
                      monomial_str, parse_ideal)
-from .theorems import (CHECKS, CheckOutcome, evaluate_profile,
-                       reproduce_bound_tables, run_checks)
+from .theorems import (CHECK_ORDER, evaluate_profile, reproduce_bound_tables,
+                       run_checks)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHECKS", "CapacityError", "CheckOutcome", "DomainError",
+    "CHECK_ORDER", "CapacityError", "DomainError",
     "EnumerationPlan", "HdepthReport", "Ideal", "MacaulayRep",
     "ParseError", "SearchReport", "VerifySummary", "alpha_census",
     "alpha_from_beta", "alpha_of_ideal", "alpha_of_quotient", "alpha_vector",

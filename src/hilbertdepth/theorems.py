@@ -28,13 +28,14 @@ it, and their agreement with it is algebra, not evidence.
 in this code can fail it.  ``principal-equivalence`` is the one check with
 content of its own.
 
-A verdict has that one encoding everywhere.  ``CHECKS`` / ``run_checks``
-apply the predicates to an HdepthReport and wrap each verdict in a
-CheckOutcome, with a witness dict when it fails.  ``evaluate_profile`` is the
-allocation-light path of the corpus harness: a Profile is a function of n and
-alpha(S/I) alone (principality included, via the profile of alpha(I)), so
-runs are aggregated per distinct alpha vector, and it hands the harness's
-tally that Profile with every predicate's verdict on it, in CHECK_ORDER.
+A verdict has that one encoding everywhere, and both evaluation paths return
+one record: a Profile and every predicate's verdict on it, in CHECK_ORDER.
+``run_checks`` reads the Profile off an HdepthReport (its independent beta
+triangle path); ``evaluate_profile`` is the allocation-light path of the
+corpus harness: a Profile is a function of n and alpha(S/I) alone
+(principality included, via the profile of alpha(I)), so runs are aggregated
+per distinct alpha vector.  ``witness_from_ideal`` re-evaluates one check on
+one ideal through the report path and returns its witness dict when it fails.
 
 ``reproduce_bound_tables`` regenerates the auxiliary difference tables
 x -> C(x,k) - c*C(x,k-1) that the level-6/level-7 bound derivations tabulate,
@@ -133,6 +134,11 @@ CHECK_ORDER = tuple(PREDICATES)
 VERIFY_CHECKS = CHECK_ORDER[:5]
 
 
+def _verdicts(profile: Profile) -> tuple[str | None, ...]:
+    """Every predicate's verdict on the profile, in CHECK_ORDER."""
+    return tuple(check(profile) for check in PREDICATES.values())
+
+
 def principal_alpha_profile(n: int, alpha_ideal) -> bool:
     """Principality read off alpha(I): the ideal generated by one monomial of
     degree d has exactly C(n-d, j-d) members in each degree j, and any ideal
@@ -155,22 +161,6 @@ def _principal_profiles(n: int) -> frozenset:
 
 
 # --- checkers over full reports ----------------------------------------------
-
-class CheckOutcome(NamedTuple):
-    """One predicate's verdict on one report, and its witness when it fails."""
-
-    name: str
-    verdict: str | None
-    witness: dict | None = None
-
-    @property
-    def applicable(self) -> bool:
-        return self.verdict is not None
-
-    @property
-    def passed(self) -> bool:
-        return not self.verdict
-
 
 def _report_profile(report: HdepthReport) -> Profile:
     q = report.hdepth_quotient
@@ -195,26 +185,19 @@ def _witness(report: HdepthReport, name: str, violated: str) -> dict:
     }
 
 
-def _outcome(report: HdepthReport, profile: Profile, name: str) -> CheckOutcome:
-    verdict = PREDICATES[name](profile)
-    return CheckOutcome(name, verdict, _witness(report, name, verdict) if verdict else None)
-
-
-def run_checks(report: HdepthReport) -> list[CheckOutcome]:
-    """The outcomes of the VERIFY_CHECKS on one report, in that order."""
+def run_checks(report: HdepthReport) -> tuple[Profile, tuple[str | None, ...]]:
+    """The report's Profile and every predicate's verdict on it, in
+    CHECK_ORDER: the record ``evaluate_profile`` returns."""
     profile = _report_profile(report)
-    return [_outcome(report, profile, name) for name in VERIFY_CHECKS]
-
-
-# CHECKS[name](report) -> CheckOutcome, with a witness dict when it fails
-CHECKS = {name: (lambda report, name=name: _outcome(report, _report_profile(report), name))
-          for name in CHECK_ORDER}
+    return profile, _verdicts(profile)
 
 
 def witness_from_ideal(I: Ideal, name: str) -> dict | None:
     """Fresh full evaluation of one check on one ideal; the failing witness
     dict, or None if the check passes (or does not apply)."""
-    return CHECKS[name](hdepth_report(I)).witness
+    report = hdepth_report(I)
+    verdict = PREDICATES[name](_report_profile(report))
+    return _witness(report, name, verdict) if verdict else None
 
 
 # --- fast alpha-profile evaluation (corpus harness) ---------------------------
@@ -230,7 +213,7 @@ def evaluate_profile(n: int, alpha_sf) -> tuple[Profile, tuple[str | None, ...]]
     principal = alpha_sf in _principal_profiles(n)
     in_m2 = alpha_sf[0] == 1 and alpha_sf[1] == n
     profile = Profile(n, q, h_ideal, principal, in_m2, beta_q)
-    return profile, tuple(check(profile) for check in PREDICATES.values())
+    return profile, _verdicts(profile)
 
 
 # --- published difference tables ----------------------------------------------

@@ -17,7 +17,7 @@ from hilbertdepth.cli import main
 from hilbertdepth.corpus import PROPER_IDEAL_COUNTS, compressed_complex_ideal
 from hilbertdepth.depth import hdepth_report
 from hilbertdepth.ideals import parse_ideal
-from hilbertdepth.theorems import CHECKS, witness_from_ideal
+from hilbertdepth.theorems import CHECK_ORDER, witness_from_ideal
 
 
 def run_cli(capsys, *argv):
@@ -511,7 +511,7 @@ def test_search_n_range_split(capsys):
 
 def test_predicate_registry_matches_cli_names():
     assert {"main", "principal-equivalence", "bound-equivalence",
-            "q6-bounds", "lemma79", "beta47-bound"} == set(CHECKS)
+            "q6-bounds", "lemma79", "beta47-bound"} == set(CHECK_ORDER)
 
 
 def test_exhaustive_and_random_conflict(capsys):

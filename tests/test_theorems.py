@@ -1,70 +1,68 @@
 """Checkers, the fast profile evaluator, and the published bound tables."""
 
-import pytest
-
 from hilbertdepth.combinatorics import (binom, binom_diff, binom_row, complement_counts,
                                         kk_upper_bound, macaulay_rep)
 from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumerate_ideals,
                                  random_ideal, sample_rng)
 from hilbertdepth.depth import beta_values, hdepth_report, ring_beta_row
 from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
-from hilbertdepth.theorems import (CHECK_ORDER, CHECKS, PREDICATES, VERIFY_CHECKS,
-                                   Profile, _principal_profiles, _report_profile,
-                                   evaluate_profile, principal_alpha_profile,
-                                   reproduce_bound_tables, run_checks, witness_from_ideal)
+from hilbertdepth.theorems import (CHECK_ORDER, PREDICATES, VERIFY_CHECKS, Profile,
+                                   _principal_profiles, _witness, evaluate_profile,
+                                   principal_alpha_profile, reproduce_bound_tables,
+                                   run_checks, witness_from_ideal)
+
+
+def _verdict(report, name):
+    """One check's verdict on a report, read off run_checks' record."""
+    return run_checks(report)[1][CHECK_ORDER.index(name)]
 
 
 def test_registry_names():
-    assert set(CHECKS) == set(CHECK_ORDER)
+    assert set(PREDICATES) == set(CHECK_ORDER)
     assert "beta47-bound" not in VERIFY_CHECKS
 
 
 def test_principal_equivalence_cases():
     r = hdepth_report(parse_ideal("x1*x2*x3", 3))
-    out = CHECKS["principal-equivalence"](r)
-    assert out.applicable and out.passed
+    assert _verdict(r, "principal-equivalence") == ""
 
     r = hdepth_report(parse_ideal("x1, x2, x3", 3))
-    out = CHECKS["principal-equivalence"](r)
-    assert out.applicable and out.passed  # all three sides false
+    assert _verdict(r, "principal-equivalence") == ""  # all three sides false
 
     r = hdepth_report(parse_ideal("x1", 1))
-    out = CHECKS["principal-equivalence"](r)
-    assert out.applicable and out.passed  # all three sides true at n = 1
+    assert _verdict(r, "principal-equivalence") == ""  # all three sides true at n = 1
 
 
 def test_main_small_cases():
     r = hdepth_report(parse_ideal("x1*x2", 2))
-    out = CHECKS["main"](r)
-    assert out.applicable and out.passed  # 2 >= 1
+    assert _verdict(r, "main") == ""  # 2 >= 1
 
     for n in range(1, 5):
         for ideal in enumerate_ideals(n):
-            out = CHECKS["main"](hdepth_report(ideal))
-            assert out.applicable and out.passed
+            assert _verdict(hdepth_report(ideal), "main") == ""
 
 
 def test_bound_equivalence_gating_and_agreement():
     # principal or not-inside-m^2 instances are gated out
     r = hdepth_report(parse_ideal("x1*x2*x3", 3))
-    assert not CHECKS["bound-equivalence"](r).applicable
+    assert _verdict(r, "bound-equivalence") is None
     r = hdepth_report(parse_ideal("x1, x2*x3", 3))
-    assert not CHECKS["bound-equivalence"](r).applicable
+    assert _verdict(r, "bound-equivalence") is None
 
     applicable = 0
     for n in range(2, 6):
         for ideal in enumerate_ideals(n):
-            out = CHECKS["bound-equivalence"](hdepth_report(ideal))
-            if out.applicable:
+            verdict = _verdict(hdepth_report(ideal), "bound-equivalence")
+            if verdict is not None:
                 applicable += 1
-                assert out.passed
+                assert verdict == ""
     assert applicable > 0
 
 
 def test_q6_bounds_gating():
     # at n <= 6 the quotient depth never reaches 6, so the check never applies
     for ideal in enumerate_ideals(3):
-        assert not CHECKS["q6-bounds"](hdepth_report(ideal)).applicable
+        assert _verdict(hdepth_report(ideal), "q6-bounds") is None
 
 
 def test_lemma79_gating_and_constructed_instance():
@@ -76,21 +74,19 @@ def test_lemma79_gating_and_constructed_instance():
     r = hdepth_report(ideal)
     assert r.hdepth_quotient == 7
     assert r.beta_triangle_quotient[7] == (1, 2, 0, 0, 0, 0, 0, 0)
-    out = CHECKS["lemma79"](r)
-    assert out.applicable and out.passed
+    assert _verdict(r, "lemma79") == ""
 
     # principal at n = 9 has q = 8: not applicable
     principal = parse_ideal("*".join(f"x{i}" for i in range(1, 10)), 9)
-    assert not CHECKS["lemma79"](hdepth_report(principal)).applicable
+    assert _verdict(hdepth_report(principal), "lemma79") is None
 
 
 def test_witness_structure_on_forced_failure():
     r = hdepth_report(parse_ideal("x1*x2, x2*x3", 3))
     broken = r._replace(hdepth_ideal=0)
-    out = CHECKS["main"](broken)
-    assert out.applicable and not out.passed
-    w = out.witness
-    assert w is not None
+    verdict = _verdict(broken, "main")
+    assert verdict
+    w = _witness(broken, "main", verdict)
     assert w["check"] == "main" and w["n"] == 3
     assert w["ideal"] == "x1*x2, x2*x3"
     assert "hdepth(I) = 0" in w["violated"]
@@ -114,22 +110,34 @@ N9_FAILING_ALPHAS = ([(1, 9, 36, 82, 105, 91, a6, 0, 0, 0) for a6 in range(40, 5
                      + [(1, 9, 36, 84, 123, 111, 64, a7, 0, 0) for a7 in (20, 21)])
 
 
+def _record_of_both_paths(ideal):
+    """run_checks' (Profile, verdicts) on the ideal's report, asserted equal
+    to evaluate_profile's on its alpha vector."""
+    r = hdepth_report(ideal)
+    record = evaluate_profile(ideal.n, tuple(r.alpha_quotient))
+    assert run_checks(r) == record, ideal
+    return record
+
+
 def test_evaluate_profile_matches_rich_checkers_exhaustive():
-    ideals = [ideal for n in range(1, 5) for ideal in enumerate_ideals(n)]
-    ideals += [compressed_complex_ideal(9, alpha) for alpha in N9_FAILING_ALPHAS]
-    for ideal in ideals:
-        r = hdepth_report(ideal)
-        profile, verdicts = evaluate_profile(ideal.n, tuple(r.alpha_quotient))
-        assert profile == _report_profile(r), ideal
-        for name, verdict in zip(CHECK_ORDER, verdicts):
-            assert verdict == CHECKS[name](r).verdict, (name, ideal)
-        if ideal.n == 9:
-            # main and one cap check fail together, on the one cap cell
-            failing = {name: v for name, v in zip(CHECK_ORDER, verdicts) if v}
-            cap_check, cell = (("q6-bounds", "b_5^6 = 22 > 21") if profile.q == 6
-                               else ("lemma79", "b_6^7 = 8 > 7"))
-            assert set(failing) == {"main", cap_check}, ideal
-            assert failing[cap_check] == cell
+    for n in range(1, 5):
+        for ideal in enumerate_ideals(n):
+            _record_of_both_paths(ideal)
+    # seeded samples, where q = 7 profiles put beta47-bound on its gate
+    at_q7 = 0
+    for n in range(7, 15):
+        for i in range(200):
+            profile, _ = _record_of_both_paths(random_ideal(n, sample_rng(11, n, i)))
+            at_q7 += profile.q == 7
+    assert at_q7 == 244
+    for alpha in N9_FAILING_ALPHAS:
+        profile, verdicts = _record_of_both_paths(compressed_complex_ideal(9, alpha))
+        # main and one cap check fail together, on the one cap cell
+        failing = {name: v for name, v in zip(CHECK_ORDER, verdicts) if v}
+        cap_check, cell = (("q6-bounds", "b_5^6 = 22 > 21") if profile.q == 6
+                           else ("lemma79", "b_6^7 = 8 > 7"))
+        assert set(failing) == {"main", cap_check}, alpha
+        assert failing[cap_check] == cell
 
 
 def _realizable_profiles(n):
@@ -246,14 +254,9 @@ def test_n9_q7_counterexample_pinned():
 
 
 def test_run_checks_default_set():
-    outcomes = run_checks(hdepth_report(parse_ideal("x1*x2", 3)))
-    assert [o.name for o in outcomes] == list(VERIFY_CHECKS)
-
-
-def test_check_outcome_is_immutable():
-    outcome = run_checks(hdepth_report(parse_ideal("x1*x2", 3)))[0]
-    with pytest.raises(AttributeError):
-        outcome.verdict = "forged"
+    _, verdicts = run_checks(hdepth_report(parse_ideal("x1*x2", 3)))
+    assert len(verdicts) == len(CHECK_ORDER)
+    assert VERIFY_CHECKS == CHECK_ORDER[:len(VERIFY_CHECKS)]
 
 
 # --- published tables ------------------------------------------------------------
@@ -289,8 +292,7 @@ def test_beta47_check_is_search_only():
     # it exists in the registry but not in the verification set, and it is
     # inapplicable wherever q != 7
     r = hdepth_report(parse_ideal("x1*x2", 2))
-    out = CHECKS["beta47-bound"](r)
-    assert not out.applicable
+    assert _verdict(r, "beta47-bound") is None
 
 
 def test_cap_row_is_the_beta_row_of_s():
@@ -340,11 +342,11 @@ def test_beta47_witness_exists_and_roundtrips():
     assert witness["hdepth_quotient"] == 7
     # the witness re-parses and re-verifies to the same outcome
     reparsed = parse_ideal(witness["ideal"], witness["n"])
-    again = CHECKS["beta47-bound"](hdepth_report(reparsed))
-    assert again.applicable and not again.passed
-    assert again.witness["violated"] == witness["violated"]
-    assert again.witness["alpha_quotient"] == witness["alpha_quotient"]
+    again = witness_from_ideal(reparsed, "beta47-bound")
+    assert again is not None
+    assert again["violated"] == witness["violated"]
+    assert again["alpha_quotient"] == witness["alpha_quotient"]
     # consistently, the depth comparison fails here and bound-equivalence
     # predicts exactly that
     assert witness["hdepth_ideal"] == 6 < 7
-    assert CHECKS["bound-equivalence"](hdepth_report(reparsed)).passed
+    assert not _verdict(hdepth_report(reparsed), "bound-equivalence")
