@@ -13,8 +13,8 @@ inverts exactly:
     a_k = sum_{j=0}^{k} C(q-j, k-j) * b_j,   k = 0..q.
 
 All arithmetic is exact.  ``hdepth_report`` bundles both sides (S/I and I)
-for a proper nonzero ideal, materializing full beta triangles (the rows of
-every level) for debugging, and reads both depths off those triangles.
+for a proper nonzero ideal: one walk per side, up to its first negative row,
+reads its depth (and b^q on S/I); the full beta triangles are derived on read.
 ``hdepth_pair`` is the fast path of the corpus harness: both depths and the
 row at q from one walk over packed rows.  ``ring_beta_row`` is the row of S
 itself, which that walk and every inequality the checks state read.
@@ -67,19 +67,19 @@ def alpha_from_beta(row) -> tuple[int, ...]:
     )
 
 
-def _depth(rows) -> int:
-    """The last level before the first beta row with a negative entry.
+def _depth(rows) -> tuple[int, tuple[int, ...]]:
+    """The last level d before the first beta row with a negative entry, and b^d.
 
     Walks the levels upward and stops at the first one with a negative entry:
     b^(d-1) is the running sum of b^d, so every level below an admissible one
     is admissible too.
     """
-    d = -1
+    d, top = -1, ()
     for row in rows:
         if min(row) < 0:
             break
-        d += 1
-    return d
+        d, top = d + 1, row
+    return d, top
 
 
 def hdepth(counts) -> int:
@@ -90,7 +90,7 @@ def hdepth(counts) -> int:
     """
     if not any(counts):
         raise DomainError("hdepth is undefined for the zero module (all-zero alpha)")
-    return _depth(beta_rows(counts))
+    return _depth(beta_rows(counts))[0]
 
 
 @lru_cache(maxsize=None)
@@ -172,8 +172,7 @@ class HdepthReport(NamedTuple):
     alpha_ideal: tuple[int, ...]
     hdepth_quotient: int
     hdepth_ideal: int
-    beta_triangle_quotient: tuple[tuple[int, ...], ...]
-    beta_triangle_ideal: tuple[tuple[int, ...], ...]
+    beta_quotient_at_q: tuple[int, ...]
     principal: bool
     in_m2: bool
 
@@ -181,10 +180,13 @@ class HdepthReport(NamedTuple):
     def n(self) -> int:
         return self.ideal.n
 
+    beta_triangle_quotient = property(lambda self: beta_triangle(self.alpha_quotient))
+    beta_triangle_ideal = property(lambda self: beta_triangle(self.alpha_ideal))
+
 
 def hdepth_report(I: Ideal) -> HdepthReport:
-    """Compute alpha vectors, both beta triangles, and both Hilbert depths
-    (read off the triangles).
+    """Compute both alpha vectors, both Hilbert depths and b^q(S/I), each side
+    walked from its own alpha vector (independent of ``hdepth_pair``).
 
     Requires 0 != I != S; raises DomainError naming the offending side.
     """
@@ -194,16 +196,14 @@ def hdepth_report(I: Ideal) -> HdepthReport:
         raise DomainError("hdepth report needs a proper ideal (I = S given)")
     a_q = alpha_of_quotient(I)
     a_i = alpha_of_ideal(I)
-    t_q = beta_triangle(a_q)
-    t_i = beta_triangle(a_i)
+    q, beta_q = _depth(beta_rows(a_q))
     return HdepthReport(
         ideal=I,
         alpha_quotient=a_q,
         alpha_ideal=a_i,
-        hdepth_quotient=_depth(t_q),
-        hdepth_ideal=_depth(t_i),
-        beta_triangle_quotient=t_q,
-        beta_triangle_ideal=t_i,
+        hdepth_quotient=q,
+        hdepth_ideal=_depth(beta_rows(a_i))[0],
+        beta_quotient_at_q=beta_q,
         principal=I.is_principal,
         in_m2=I.in_m2,
     )

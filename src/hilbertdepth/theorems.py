@@ -30,9 +30,9 @@ content of its own.
 
 A verdict has that one encoding everywhere, and both evaluation paths return
 one record: a Profile and every predicate's verdict on it, in CHECK_ORDER.
-``run_checks`` reads the Profile off an HdepthReport (its independent beta
-triangle path); ``evaluate_profile`` is the allocation-light path of the
-corpus harness: a Profile is a function of n and alpha(S/I) alone
+``run_checks`` reads the Profile off an HdepthReport (its independent walk
+over each side's beta rows); ``evaluate_profile`` is the allocation-light
+path of the corpus harness: a Profile is a function of n and alpha(S/I) alone
 (principality included, via the profile of alpha(I)), so runs are aggregated
 per distinct alpha vector.  ``witness_from_ideal`` re-evaluates one check on
 one ideal through the report path and returns its witness dict when it fails.
@@ -139,23 +139,12 @@ def _verdicts(profile: Profile) -> tuple[str | None, ...]:
     return tuple(check(profile) for check in PREDICATES.values())
 
 
-def principal_alpha_profile(n: int, alpha_ideal) -> bool:
-    """Principality read off alpha(I): the ideal generated by one monomial of
-    degree d has exactly C(n-d, j-d) members in each degree j, and any ideal
-    matching that profile is principal (the unique minimal-degree monomial
-    divides everything, by induction on degree)."""
-    d = next((j for j, a in enumerate(alpha_ideal) if a), None)
-    if d is None or d == 0:
-        return False
-    return all(alpha_ideal[j] == binom(n - d, j - d) for j in range(n + 1))
-
-
 @lru_cache(maxsize=None)
 def _principal_profiles(n: int) -> frozenset:
     """alpha(S/I) of the n principal ideals, one per generator degree d = 1..n:
-    the complements of the C(n-d, j-d) that ``principal_alpha_profile`` tests
-    for.  The first nonzero degree of alpha(I) fixes d, so membership in this
-    set is that test, in one lookup."""
+    the complements of the C(n-d, j-d) that ``principal_alpha_profile`` (in
+    ``tests/conftest.py``) tests for.  The first nonzero degree of alpha(I)
+    fixes d, so membership in this set is that test, in one lookup."""
     return frozenset(complement_counts(n, [binom(n - d, j - d) for j in range(n + 1)])
                      for d in range(1, n + 1))
 
@@ -163,13 +152,11 @@ def _principal_profiles(n: int) -> frozenset:
 # --- checkers over full reports ----------------------------------------------
 
 def _report_profile(report: HdepthReport) -> Profile:
-    q = report.hdepth_quotient
-    return Profile(report.n, q, report.hdepth_ideal, report.principal, report.in_m2,
-                   report.beta_triangle_quotient[q])
+    return Profile(report.n, report.hdepth_quotient, report.hdepth_ideal, report.principal,
+                   report.in_m2, report.beta_quotient_at_q)
 
 
 def _witness(report: HdepthReport, name: str, violated: str) -> dict:
-    q = report.hdepth_quotient
     return {
         "check": name,
         "n": report.n,
@@ -177,9 +164,9 @@ def _witness(report: HdepthReport, name: str, violated: str) -> dict:
         "violated": violated,
         "alpha_quotient": list(report.alpha_quotient),
         "alpha_ideal": list(report.alpha_ideal),
-        "hdepth_quotient": q,
+        "hdepth_quotient": report.hdepth_quotient,
         "hdepth_ideal": report.hdepth_ideal,
-        "beta_quotient_at_q": list(report.beta_triangle_quotient[q]),
+        "beta_quotient_at_q": list(report.beta_quotient_at_q),
         "principal": report.principal,
         "in_m2": report.in_m2,
     }

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from hilbertdepth import cli, corpus
+from hilbertdepth import cli, corpus, depth
 from hilbertdepth.cli import main
 from hilbertdepth.corpus import PROPER_IDEAL_COUNTS, compressed_complex_ideal
-from hilbertdepth.depth import hdepth_report
+from hilbertdepth.depth import beta_values, hdepth_report
 from hilbertdepth.ideals import parse_ideal
 from hilbertdepth.theorems import CHECK_ORDER, witness_from_ideal
 
@@ -418,6 +418,22 @@ def test_verify_csv_failing_rows(capsys, monkeypatch):
     assert header[-5:] == ["main", "principal-equivalence", "bound-equivalence",
                            "q6-bounds", "lemma79"]
     assert [",".join(row[-5:]) for row in rows] == ["0,1,1,0,", "0,1,1,,0"]
+
+
+def test_report_path_builds_no_beta_triangle(capsys, monkeypatch):
+    # the CSV rows, run_checks and witness_from_ideal read the walk's b^q;
+    # only compute's printout derives the full triangles
+    _, expected, _ = run_cli(capsys, "verify", "--exhaustive", "-n", "3", "--format", "csv")
+
+    def no_triangle(counts):
+        raise AssertionError("beta_triangle built on the report path")
+
+    monkeypatch.setattr(depth, "beta_triangle", no_triangle)
+    code, out, _ = run_cli(capsys, "verify", "--exhaustive", "-n", "3", "--format", "csv")
+    assert (code, out) == (0, expected)
+    alpha = (1, 9, 36, 82, 105, 91, 40, 0, 0, 0)
+    w = witness_from_ideal(compressed_complex_ideal(9, alpha), "main")
+    assert w["beta_quotient_at_q"] == list(beta_values(alpha, 6))
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -14,7 +14,8 @@ from hilbertdepth.depth import (alpha_from_beta, beta_triangle, beta_values,
                                 hdepth, hdepth_pair, hdepth_report)
 from hilbertdepth.errors import DomainError
 from hilbertdepth.ideals import ALPHA_N_MAX, Ideal, parse_ideal
-from hilbertdepth.theorems import principal_alpha_profile
+
+from conftest import principal_alpha_profile
 
 
 def test_beta_examples_level7():
@@ -229,6 +230,7 @@ def test_hdepth_report_depths_match_hdepth_and_pair():
         a_q, a_i = tuple(r.alpha_quotient), tuple(r.alpha_ideal)
         depths = (r.hdepth_quotient, r.hdepth_ideal)
         assert depths == (hdepth(a_q), hdepth(a_i)) == hdepth_pair(a_q)[:2]
+        assert r.beta_quotient_at_q == hdepth_pair(a_q)[2]
 
 
 def test_principal_equivalences_exhaustive():
@@ -242,11 +244,18 @@ def test_principal_equivalences_exhaustive():
 
 
 def test_beta_triangle_in_report():
-    r = hdepth_report(parse_ideal("x1*x2, x2*x3", 3))
-    assert len(r.beta_triangle_quotient) == 4
-    for d, row in enumerate(r.beta_triangle_quotient):
-        assert type(row) is tuple and len(row) == d + 1
-        assert row == beta_values(tuple(r.alpha_quotient), d)
+    # the triangles are derived from the alpha vectors on read; row q of the
+    # S/I triangle is the row the report's walk kept
+    for n in range(1, 5):
+        for I in enumerate_ideals(n):
+            r = hdepth_report(I)
+            assert len(r.beta_triangle_quotient) == n + 1
+            for d, row in enumerate(r.beta_triangle_quotient):
+                assert type(row) is tuple and len(row) == d + 1
+                assert row == beta_values(tuple(r.alpha_quotient), d)
+            assert r.beta_triangle_quotient == beta_triangle(r.alpha_quotient)
+            assert r.beta_triangle_ideal == beta_triangle(r.alpha_ideal)
+            assert r.beta_triangle_quotient[r.hdepth_quotient] == r.beta_quotient_at_q
 
 
 def test_report_is_frozen():

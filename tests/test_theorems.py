@@ -8,8 +8,9 @@ from hilbertdepth.depth import beta_values, hdepth_report, ring_beta_row
 from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
 from hilbertdepth.theorems import (CHECK_ORDER, PREDICATES, VERIFY_CHECKS, Profile,
                                    _principal_profiles, _witness, evaluate_profile,
-                                   principal_alpha_profile, reproduce_bound_tables,
-                                   run_checks, witness_from_ideal)
+                                   reproduce_bound_tables, run_checks, witness_from_ideal)
+
+from conftest import principal_alpha_profile
 
 
 def _verdict(report, name):
