@@ -17,11 +17,11 @@ runs is a function of (n, alpha(S/I)) alone, so exhaustive runs tally an
 "alpha census" instead of materializing 7.8M ideal objects, and a sample task
 evaluates each of its profiles once.  ``alpha_census`` counts the levels above
 each level once per distinct set of faces the lower levels allow (a memo), and
-groups the subsets of that set slice by slice rather than one by one.  A
-scan yields the census as one part, in this process, or each sample task as a
-part from the worker pool; a profile's outcome is the same in every part, so
-each report folds the parts as they arrive, and no map of every profile is built.
-The scan, in this process, realizes one witness per failing profile and check.
+groups the subsets of that set slice by slice rather than one by one.  A plan
+builds its corpus in parts: the census as one, in this process, or each sample
+task as one from the worker pool; a profile's outcome is the same in every part,
+so each report folds the parts as they arrive, and no map of every profile is
+built.  The scan, in this process, realizes one witness per failing profile and check.
 
 Random generation draws a generator count uniform in [1, 3n] and generator
 degrees from a distribution weighted toward [2, n-2].  A sample's alpha
@@ -363,7 +363,7 @@ class EnumerationPlan(NamedTuple("EnumerationPlan", [
     """What corpus to scan: exhaustive at small n, or seeded random samples.
 
     Every corpus rule is checked here: an exhaustive corpus draws nothing, so
-    it takes no seed or sample count, and a random one needs both.
+    it takes no seed or sample count, and a random one needs both; ``parts`` builds it.
     """
 
     __slots__ = ()
@@ -391,6 +391,24 @@ class EnumerationPlan(NamedTuple("EnumerationPlan", [
     @classmethod
     def _make(cls, fields):  # so that _replace checks its fields too
         return cls(*fields)
+
+    def parts(self):
+        """The corpus as ``(parts, realize)``: its ``_profile_loop`` maps, and the
+        map from a profile's source to its ideal and the witness fields that
+        locate it.  Exhaustive mode is one part, the alpha census, in this
+        process, its sources alphas realized as compressed complexes; random mode
+        is one part per sample task, in task order, through the pool (one task
+        needs none), its sources sample indices realized by redrawing the sample."""
+        n, seed = self.n, self.seed
+        if self.mode == "exhaustive":
+            census = ((alpha, c, alpha) for alpha, c in alpha_census(n).items())
+            return (_pool_map(1, partial(_profile_loop, n), (census,)),
+                    lambda alpha: (find_ideal_with_alpha(n, alpha), {}))
+        tasks = ((n, seed, lo, min(lo + _SAMPLE_TASK_SIZE, self.sample_count))
+                 for lo in range(0, self.sample_count, _SAMPLE_TASK_SIZE))
+        workers = self.workers if self.sample_count > _SAMPLE_TASK_SIZE else 1
+        return (_pool_map(workers, _sample_task, tasks),
+                lambda i: (random_ideal(n, sample_rng(seed, n, i)), {"sample_index": i}))
 
 
 class CheckerTally:
@@ -424,6 +442,8 @@ class VerifySummary(NamedTuple):
 
 
 class SearchReport(NamedTuple):
+    """One search's result; its status is read off its witnesses and mode."""
+
     predicate: str
     n_values: tuple[int, ...]
     mode: str
@@ -431,7 +451,11 @@ class SearchReport(NamedTuple):
     witnesses: list[dict]
     elapsed: float
     seed: int | None
-    status: str  # "witnesses-found" | "none-exhaustive" | "inconclusive"
+
+    @property
+    def status(self) -> str:
+        return ("witnesses-found" if self.witnesses else
+                "none-exhaustive" if self.mode == "exhaustive" else "inconclusive")
 
 
 # --- harness ---------------------------------------------------------------------
@@ -494,34 +518,17 @@ def _pool_map(workers: int, fn, tasks):
 
 
 def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
-    """Yield the plan's corpus in parts: each a ``_profile_loop`` map and its witnesses.
+    """Yield the parts of ``plan.parts()``, each a ``_profile_loop`` map with its witnesses.
 
-    Exhaustive mode has one part, the alpha census, and random mode one part
-    per sample task, in task order, through the pool.  This process realizes
-    each profile that fails any of ``names`` in no earlier part, in first-seen
-    order (its compressed complex, or its first sample redrawn, with its
-    ``sample_index``), into one witness per failing check from a fresh full
-    evaluation; one that does not re-verify raises RuntimeError.  Realizing
-    stops once the scan holds ``max_witnesses``, and the scan returns after
-    that part (whole parts only: the scanned count is deterministic).
+    This process realizes each profile that fails any of ``names`` in no
+    earlier part, in first-seen order, through the plan's ``realize``, into
+    one witness per failing check from a fresh full evaluation; one that does
+    not re-verify raises RuntimeError.  Realizing stops once the scan holds
+    ``max_witnesses``, and the scan returns after that part (whole parts
+    only: the scanned count is deterministic).
     """
-    n = plan.n
     cap = float("inf") if max_witnesses is None else max_witnesses
-    if plan.mode == "exhaustive":
-        census = ((alpha, c, alpha) for alpha, c in alpha_census(n).items())
-        parts = _pool_map(1, partial(_profile_loop, n), (census,))
-
-        def realize(alpha):
-            return find_ideal_with_alpha(n, alpha), {}
-    else:
-        tasks = ((n, plan.seed, lo, min(lo + _SAMPLE_TASK_SIZE, plan.sample_count))
-                 for lo in range(0, plan.sample_count, _SAMPLE_TASK_SIZE))
-        # one task needs no pool
-        workers = plan.workers if plan.sample_count > _SAMPLE_TASK_SIZE else 1
-        parts = _pool_map(workers, _sample_task, tasks)
-
-        def realize(i):
-            return random_ideal(n, sample_rng(plan.seed, n, i)), {"sample_index": i}
+    parts, realize = plan.parts()
     positions = [(name, CHECK_ORDER.index(name)) for name in names]
     realized, found = set(), 0
     with closing(parts):
@@ -536,7 +543,7 @@ def _scan(plan: EnumerationPlan, names, max_witnesses: int | None = None):
                 for name in failing:
                     witness = witness_from_ideal(ideal, name)
                     if witness is None:
-                        raise RuntimeError(f"{name} fails on the profile of n = {n}, alpha = "
+                        raise RuntimeError(f"{name} fails on the profile of n = {plan.n}, alpha = "
                                            f"{alpha}, but its witness {ideal} does not re-verify")
                     witnesses.append(witness | extra)
                 found += len(failing)
@@ -586,11 +593,6 @@ def run_verification(plan: EnumerationPlan) -> VerifySummary:
     )
 
 
-def _search_status(mode: str, witnesses) -> str:
-    return ("witnesses-found" if witnesses else
-            "none-exhaustive" if mode == "exhaustive" else "inconclusive")
-
-
 def search_counterexample(plan: EnumerationPlan, predicate: str,
                           max_witnesses: int = 1) -> SearchReport:
     """Scan one corpus for failures of one named check.
@@ -610,8 +612,7 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
             scanned += sum(profile[0] for profile in profiles.values())
             witnesses += part_witnesses
     return SearchReport(predicate, (plan.n,), plan.mode, scanned, witnesses,
-                        time.monotonic() - start, plan.seed,
-                        _search_status(plan.mode, witnesses))
+                        time.monotonic() - start, plan.seed)
 
 
 def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
@@ -639,6 +640,5 @@ def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
             break
     combined = SearchReport(predicate, tuple(n_values), mode,
                             sum(r.instances_scanned for r in per_n), witnesses,
-                            sum(r.elapsed for r in per_n), seed,
-                            _search_status(mode, witnesses))
+                            sum(r.elapsed for r in per_n), seed)
     return combined, per_n

@@ -450,6 +450,29 @@ def test_search_random_inconclusive():
     assert report.instances_scanned == 1000
 
 
+def test_search_status_is_read_off_witnesses_and_mode():
+    found = corpus.SearchReport("main", (9,), "random", 1, [{"check": "main"}], 0.0, 42)
+    assert found.status == "witnesses-found"
+    assert found._replace(witnesses=[]).status == "inconclusive"
+    assert found._replace(witnesses=[], mode="exhaustive").status == "none-exhaustive"
+
+
+def test_random_plan_parts_are_its_sample_tasks():
+    parts, realize = EnumerationPlan(7, "random", 4500, 3).parts()
+    assert [sum(p[0] for p in part.values()) for part in parts] == [2000, 2000, 500]
+    for i in (0, 2999, 4499):
+        assert realize(i) == (random_ideal(7, sample_rng(3, 7, i)), {"sample_index": i})
+
+
+def test_exhaustive_plan_parts_are_the_census():
+    parts, realize = EnumerationPlan(4, "exhaustive").parts()
+    (part,) = parts
+    census = alpha_census(4)
+    assert {alpha: p[0] for alpha, p in part.items()} == census
+    for alpha in census:
+        assert realize(alpha) == (compressed_complex_ideal(4, alpha), {})
+
+
 def test_search_unknown_predicate():
     with pytest.raises(ValueError):
         search_counterexample(EnumerationPlan(n=4, mode="exhaustive"), "nope")
