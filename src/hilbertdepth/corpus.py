@@ -41,7 +41,6 @@ from collections import Counter, deque
 from contextlib import closing
 from functools import lru_cache, partial
 from itertools import accumulate, islice
-from math import ceil, log
 from typing import NamedTuple
 
 from .combinatorics import (N_MAX, colex_mask, complement_counts, kk_upper_bound,
@@ -266,19 +265,18 @@ def _degree_table(n: int):
 
     Returns ``(degrees, cum, steps, bits)``: the generator degrees, their
     cumulative (float) weights, for each degree d the steps of
-    ``Random.sample(range(n), d)``'s partial Fisher-Yates as
+    ``Random.sample(range(n), d)``'s pooled partial Fisher-Yates as
     ``(size, size.bit_length(), size - 1)`` tuples for size = n, n-1, ...,
-    n-d+1 (or None where ``sample`` keeps no pool: it keeps one when n is at
-    most its ``setsize``, 21 plus a set's table size for d > 5, and otherwise
-    redraws repeated indices), and the variable bits ``(1 << v for v in
-    range(n))`` that a pool starts from.
+    n-d+1, and the variable bits ``(1 << v for v in range(n))`` that a pool
+    starts from.  ``sample`` keeps a pool at every n <= 21, since its set
+    size is never below 21; above n = 21 ``steps`` is None, and
+    ``random_gen_masks`` calls ``sample`` itself.
     """
     weights = default_degree_weights(n)
     degrees = tuple(sorted(weights))
     cum = tuple(accumulate(weights[d] for d in degrees))
-    steps = tuple(tuple((size, size.bit_length(), size - 1) for size in range(n, n - d, -1))
-                  if n <= 21 + (4 ** ceil(log(d * 3, 4)) if d > 5 else 0) else None
-                  for d in degrees)
+    steps = (tuple(tuple((size, size.bit_length(), size - 1) for size in range(n, n - d, -1))
+                   for d in degrees) if n <= 21 else None)
     return degrees, cum, steps, tuple(1 << v for v in range(n))
 
 
@@ -290,22 +288,23 @@ def random_gen_masks(n: int, rng: random.Random) -> list[int]:
     The draws are, draw for draw, those of ``rng.randint(1, 3 * n)`` generators,
     each of degree ``d = rng.choices(degrees, cum_weights=cum)[0]`` on the
     variables ``rng.sample(range(n), d)``, as CPython's ``Lib/random.py``
-    (3.10-3.13) makes them for a ``random.Random``; they call ``getrandbits``
-    and ``random`` directly instead of going through those wrappers:
+    (3.10-3.13) makes them for a ``random.Random``.  Three of them call
+    ``getrandbits`` and ``random`` directly instead of going through those
+    wrappers:
 
     * ``_randbelow_with_getrandbits(m)`` draws ``getrandbits(m.bit_length())``
       until the value is below m; ``randint(1, 3n)`` is 1 plus that for 3n;
     * ``choices`` bisects ``random() * cum[-1]`` into ``cum[:-1]``;
-    * ``sample`` with a pool runs a partial Fisher-Yates: index
+    * at n <= 21, ``sample`` runs a pooled partial Fisher-Yates: index
       ``j = randbelow(size)`` takes ``pool[j]``, which ``pool[size - 1]``
-      replaces, for size = n down to n - d + 1; without one it redraws
-      ``j = randbelow(n)`` until it is new.
+      replaces, for size = n down to n - d + 1.
 
-    The Fisher-Yates steps come from ``_degree_table``: each is one
-    ``(size, bit width, last index)`` tuple, and the pool is a copy of the
-    variable bits, so a step ORs ``pool[j]`` into the mask with no
-    ``bit_length`` call or shift.  ``tests/test_corpus.py`` pins the masks and
-    the generator state after the draws against the stdlib calls.
+    Above n = 21 ``sample`` itself runs.  The Fisher-Yates steps come from
+    ``_degree_table``: each is one ``(size, bit width, last index)`` tuple,
+    and the pool is a copy of the variable bits, so a step ORs ``pool[j]``
+    into the mask with no ``bit_length`` call or shift.
+    ``tests/test_corpus.py`` pins the masks and the generator state after the
+    draws against the stdlib calls.
     """
     degrees, cum, steps, bits = _degree_table(n)
     getrandbits, rand = rng.getrandbits, rng.random
@@ -318,23 +317,18 @@ def random_gen_masks(n: int, rng: random.Random) -> list[int]:
     masks = []
     for _ in range(1 + g):
         i = bisect(cum, rand() * total, 0, hi)
-        walk = steps[i]
         mask = 0
-        if walk is not None:
+        if steps is None:
+            for v in rng.sample(range(n), degrees[i]):
+                mask |= bits[v]
+        else:
             pool = list(bits)
-            for size, w, last in walk:
+            for size, w, last in steps[i]:
                 j = getrandbits(w)
                 while j >= size:
                     j = getrandbits(w)
                 mask |= pool[j]
                 pool[j] = pool[last]
-        else:
-            d = degrees[i]
-            w = n.bit_length()
-            while mask.bit_count() < d:
-                j = getrandbits(w)
-                if j < n:
-                    mask |= 1 << j
         masks.append(mask)
     return masks
 

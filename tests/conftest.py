@@ -14,6 +14,14 @@ def census6():
     return alpha_census(6)
 
 
+# Every failing n = 9 prefix, zero-padded: an exact scan of the
+# Kruskal-Katona-realizable prefixes finds these 10 at q = 6 (hdepth(I) = 5)
+# and 2 at q = 7 (hdepth(I) = 6), and no other; random sampling does not
+# reach them.
+N9_FAILING_ALPHAS = ([(1, 9, 36, 82, 105, 91, a6, 0, 0, 0) for a6 in range(40, 50)]
+                     + [(1, 9, 36, 84, 123, 111, 64, a7, 0, 0) for a7 in (20, 21)])
+
+
 def principal_alpha_profile(n: int, alpha_ideal) -> bool:
     """Principality read off alpha(I): the ideal generated by one monomial of
     degree d has exactly C(n-d, j-d) members in each degree j, and any ideal

@@ -19,6 +19,8 @@ from hilbertdepth.depth import beta_values, hdepth_report
 from hilbertdepth.ideals import parse_ideal
 from hilbertdepth.theorems import CHECK_ORDER, witness_from_ideal
 
+from conftest import N9_FAILING_ALPHAS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -227,7 +229,7 @@ def test_verify_text_deterministic_bytes(capsys, monkeypatch):
 def _pin_n9_failing_profile(monkeypatch):
     # every sample draws the generators of a pinned n = 9 profile on which
     # main and q6-bounds fail through the real checks
-    ideal = compressed_complex_ideal(9, (1, 9, 36, 82, 105, 91, 40, 0, 0, 0))
+    ideal = compressed_complex_ideal(9, N9_FAILING_ALPHAS[0])
     monkeypatch.setattr(corpus, "random_gen_masks", lambda n, rng: list(ideal.gens))
 
 
@@ -408,8 +410,8 @@ def test_verify_csv_rows(capsys):
 def test_verify_csv_failing_rows(capsys, monkeypatch):
     # the two samples are the pinned n = 9 profiles: q = 6, where main and
     # q6-bounds fail, then q = 7, where main and lemma79 fail
-    ideals = iter([compressed_complex_ideal(9, (1, 9, 36, 82, 105, 91, 40, 0, 0, 0)),
-                   compressed_complex_ideal(9, (1, 9, 36, 84, 123, 111, 64, 20, 0, 0))])
+    ideals = iter([compressed_complex_ideal(9, N9_FAILING_ALPHAS[0]),
+                   compressed_complex_ideal(9, N9_FAILING_ALPHAS[10])])
     monkeypatch.setattr(cli, "random_ideal", lambda n, rng: next(ideals))
     code, out, _ = run_cli(capsys, "verify", "--random", "-n", "9", "--samples", "2",
                            "--seed", "0", "--format", "csv")
@@ -431,7 +433,7 @@ def test_report_path_builds_no_beta_triangle(capsys, monkeypatch):
     monkeypatch.setattr(depth, "beta_triangle", no_triangle)
     code, out, _ = run_cli(capsys, "verify", "--exhaustive", "-n", "3", "--format", "csv")
     assert (code, out) == (0, expected)
-    alpha = (1, 9, 36, 82, 105, 91, 40, 0, 0, 0)
+    alpha = N9_FAILING_ALPHAS[0]
     w = witness_from_ideal(compressed_complex_ideal(9, alpha), "main")
     assert w["beta_quotient_at_q"] == list(beta_values(alpha, 6))
 

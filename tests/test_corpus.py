@@ -206,9 +206,11 @@ def stdlib_gen_masks(n, rng):
 
 
 def draw_grid():
-    """(n, seed, sample index) triples; n = 22, 30, 40 reach sample's set path
-    for degrees up to 5."""
-    for n in [*range(2, 15), 22, 30, 40]:
+    """(n, seed, sample index) triples; n = 21 is the last n at which
+    ``random_gen_masks`` copies sample's pooled Fisher-Yates, and n >= 22 reach
+    ``Random.sample`` itself: its set path for degrees up to 5 at n = 22, 25
+    (ALPHA_N_MAX), 30 and 40."""
+    for n in [*range(2, 15), 21, 22, 25, 30, 40]:
         for seed in (0, 7, 42):
             for i in range(300 if n <= 14 else 50):
                 yield n, seed, i

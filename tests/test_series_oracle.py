@@ -18,6 +18,8 @@ import pytest
 from hilbertdepth.corpus import alpha_census, compressed_complex_ideal, random_ideal, sample_rng
 from hilbertdepth.depth import hdepth_pair, hdepth_report
 
+from conftest import N9_FAILING_ALPHAS
+
 
 def _convolve(p, q):
     out = [0] * (len(p) + len(q) - 1)
@@ -72,11 +74,9 @@ def test_series_oracle_matches_every_census_profile(census6):
 
 
 def test_series_oracle_matches_the_failing_n9_prefixes():
-    # the 10 failing prefixes at q = 6 and the 2 at q = 7, zero-padded
-    alphas = ([(1, 9, 36, 82, 105, 91, a6, 0, 0, 0) for a6 in range(40, 50)]
-              + [(1, 9, 36, 84, 123, 111, 64, a7, 0, 0) for a7 in (20, 21)])
-    checked = [_agrees(compressed_complex_ideal(9, alpha)) for alpha in alphas]
-    assert checked == list(zip(alphas, [(6, 5)] * 10 + [(7, 6)] * 2))
+    # the 10 failing prefixes at q = 6 and the 2 at q = 7
+    checked = [_agrees(compressed_complex_ideal(9, alpha)) for alpha in N9_FAILING_ALPHAS]
+    assert checked == list(zip(N9_FAILING_ALPHAS, [(6, 5)] * 10 + [(7, 6)] * 2))
 
 
 @pytest.mark.parametrize("n", range(7, 15))

@@ -10,7 +10,7 @@ from hilbertdepth.theorems import (CHECK_ORDER, PREDICATES, VERIFY_CHECKS, Profi
                                    _principal_profiles, _witness, evaluate_profile,
                                    reproduce_bound_tables, run_checks, witness_from_ideal)
 
-from conftest import principal_alpha_profile
+from conftest import N9_FAILING_ALPHAS, principal_alpha_profile
 
 
 def _verdict(report, name):
@@ -98,17 +98,8 @@ def test_witness_from_ideal_none_when_passing():
     assert witness_from_ideal(parse_ideal("x1*x2", 2), "main") is None
 
 
-# Quotient alpha vectors at n = 9 on which verification checks fail (found by
-# an exact scan of the Kruskal-Katona-realizable profiles; random sampling
-# does not reach them): q = 6 with hdepth(I) = 5, and q = 7 with hdepth(I) = 6.
-N9_Q6_ALPHA = (1, 9, 36, 82, 105, 91, 40, 0, 0, 0)
-N9_Q7_ALPHA = (1, 9, 36, 84, 123, 111, 64, 20, 0, 0)
-
-
-# Every failing n = 9 prefix, zero-padded: the exact scan finds these 10 at
-# q = 6 and 2 at q = 7, and no other.
-N9_FAILING_ALPHAS = ([(1, 9, 36, 82, 105, 91, a6, 0, 0, 0) for a6 in range(40, 50)]
-                     + [(1, 9, 36, 84, 123, 111, 64, a7, 0, 0) for a7 in (20, 21)])
+# the first failing n = 9 prefix at q = 6 and at q = 7
+N9_Q6_ALPHA, N9_Q7_ALPHA = N9_FAILING_ALPHAS[0], N9_FAILING_ALPHAS[10]
 
 
 def _record_of_both_paths(ideal):
@@ -157,13 +148,15 @@ def _realizable_profiles(n):
 
 def test_cap_checks_restate_main_on_every_profile_n7_n8():
     # by b_k^q(I) = b_k^q(S) - b_k^q(S/I), q6-bounds and lemma79 fail on their
-    # gates exactly when main fails, and bound-equivalence never fails
+    # gates exactly when main fails, and bound-equivalence never fails; main
+    # itself passes on every realizable profile, so no prefix fails at n = 7, 8
     counts = {}
     for n in (7, 8):
         profiles = _realizable_profiles(n)
         q6_applicable = 0
         for alpha in profiles:
             v = dict(zip(CHECK_ORDER, evaluate_profile(n, alpha)[1]))
+            assert v["main"] == "", alpha
             if v["q6-bounds"] is not None:
                 q6_applicable += 1
                 assert bool(v["q6-bounds"]) == bool(v["main"]), alpha
