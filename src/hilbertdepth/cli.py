@@ -186,7 +186,8 @@ def _summary_json(summary: VerifySummary, deterministic: bool) -> dict:
         "seed": summary.seed,
         "workers": summary.workers,
         "distinct_profiles": summary.distinct_profiles,
-        "checks": {name: vars(t) for name, t in sorted(summary.checks.items())},
+        "checks": {name: {"applicable": t.applicable, "passed": t.passed, "failed": t.failed}
+                   for name, t in sorted(summary.checks.items())},
         "q_histogram": {str(q): c for q, c in summary.q_histogram.items()},
         "lem_gate_excluded": summary.lem_gate_excluded,
         "witnesses": [_witness_json(w) for w in summary.witnesses],

@@ -53,9 +53,9 @@ def binom_row(n: int) -> tuple[int, ...]:
     return tuple(comb(n, k) for k in range(n + 1))
 
 
-def complement_counts(n: int, counts) -> tuple[int, ...]:
-    """Apply a_j -> C(n,j) - a_j (swaps the roles of I and S/I)."""
-    return tuple(map(sub, binom_row(n), counts))
+def complement_counts(counts) -> tuple[int, ...]:
+    """Apply a_j -> C(n,j) - a_j, n = len(counts) - 1 (swaps the roles of I and S/I)."""
+    return tuple(map(sub, binom_row(len(counts) - 1), counts))
 
 
 class MacaulayRep(NamedTuple):

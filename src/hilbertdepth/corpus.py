@@ -13,7 +13,7 @@ Level n is never chosen: its one face lies only in the full downset (I = 0),
 which is excluded, so the walk chooses levels 1..n-1 only.
 
 The verification harness aggregates per distinct alpha vector: every check it
-runs is a function of (n, alpha(S/I)) alone, so exhaustive runs tally an
+runs is a function of alpha(S/I) alone, so exhaustive runs tally an
 "alpha census" instead of materializing 7.8M ideal objects, and a sample task
 evaluates each of its profiles once.  ``alpha_census`` counts the levels above
 each level once per distinct set of faces the lower levels allow (a memo), and
@@ -39,7 +39,7 @@ import time
 from bisect import bisect
 from collections import Counter, deque
 from contextlib import closing
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, islice
 from typing import NamedTuple
 
@@ -208,11 +208,11 @@ def alpha_census(n: int) -> Counter:
 
 # --- compressed complexes -------------------------------------------------------
 
-def compressed_complex_ideal(n: int, alpha: tuple[int, ...]) -> Ideal:
-    """The ideal whose quotient complex takes the first alpha[d] d-sets of each
-    level d in colex order.  Valid only for Kruskal-Katona consistent alpha
-    vectors, 0 <= a_d <= KK^+(a_{d-1}) at every level; raises ValueError
-    otherwise.
+def compressed_complex_ideal(alpha: tuple[int, ...]) -> Ideal:
+    """The ideal on n = len(alpha) - 1 variables whose quotient complex takes
+    the first alpha[d] d-sets of each level d in colex order.  Valid only for
+    Kruskal-Katona consistent alpha vectors, 0 <= a_d <= KK^+(a_{d-1}) at
+    every level; raises ValueError otherwise.
 
     In colex order a d-set's largest facet is the one that drops its lowest
     element.  So a d-set has all its facets among the first N colex
@@ -223,8 +223,9 @@ def compressed_complex_ideal(n: int, alpha: tuple[int, ...]) -> Ideal:
     ascending mask, so they come out sorted by (degree, mask).
     ``alpha_of_quotient`` re-checks the result.
     """
-    if len(alpha) != n + 1 or alpha[0] != 1:
+    if not alpha or alpha[0] != 1:
         raise ValueError("alpha must be (1, a_1, ..., a_n)")
+    n = len(alpha) - 1
     gens, upper = [], n
     for d, a in enumerate(alpha[1:], 1):
         # by induction every rank range stays within the C(n, d) d-sets
@@ -240,9 +241,9 @@ def compressed_complex_ideal(n: int, alpha: tuple[int, ...]) -> Ideal:
     return ideal
 
 
-def find_ideal_with_alpha(n: int, alpha: tuple[int, ...]) -> Ideal:
+def find_ideal_with_alpha(alpha: tuple[int, ...]) -> Ideal:
     """An ideal whose quotient alpha vector is ``alpha``: its compressed complex."""
-    return compressed_complex_ideal(n, alpha)
+    return compressed_complex_ideal(alpha)
 
 
 # --- random generation ----------------------------------------------------------
@@ -396,8 +397,8 @@ class EnumerationPlan(NamedTuple("EnumerationPlan", [
         n, seed = self.n, self.seed
         if self.mode == "exhaustive":
             census = ((alpha, c, alpha) for alpha, c in alpha_census(n).items())
-            return (_pool_map(1, partial(_profile_loop, n), (census,)),
-                    lambda alpha: (find_ideal_with_alpha(n, alpha), {}))
+            return (_pool_map(1, _profile_loop, (census,)),
+                    lambda alpha: (find_ideal_with_alpha(alpha), {}))
         tasks = ((n, seed, lo, min(lo + _SAMPLE_TASK_SIZE, self.sample_count))
                  for lo in range(0, self.sample_count, _SAMPLE_TASK_SIZE))
         workers = self.workers if self.sample_count > _SAMPLE_TASK_SIZE else 1
@@ -409,13 +410,14 @@ class CheckerTally:
     """One check's counts over a corpus, added to in place by ``run_verification``."""
 
     def __init__(self):
-        self.applicable = self.passed = self.failed = 0
+        self.passed = self.failed = 0
+
+    applicable = property(lambda self: self.passed + self.failed)
 
 
 class VerifySummary(NamedTuple):
     n: int
     mode: str
-    scanned: int
     elapsed: float
     seed: int | None
     sample_count: int
@@ -424,6 +426,8 @@ class VerifySummary(NamedTuple):
     witnesses: list[dict]
     distinct_profiles: int
     q_histogram: dict[int, int]
+
+    scanned = property(lambda self: sum(self.q_histogram.values()))
 
     @property
     def total_failures(self) -> int:
@@ -457,7 +461,7 @@ class SearchReport(NamedTuple):
 _SAMPLE_TASK_SIZE = 2000
 
 
-def _profile_loop(n: int, items):
+def _profile_loop(items):
     """Evaluate each distinct profile of ``items`` once, in first-seen order.
 
     ``items`` yields (alpha(S/I), count, source), and ``profiles[alpha]`` is
@@ -468,7 +472,7 @@ def _profile_loop(n: int, items):
     for alpha, count, source in items:
         profile = profiles.get(alpha)
         if profile is None:
-            profiles[alpha] = [count, evaluate_profile(n, alpha), source]
+            profiles[alpha] = [count, evaluate_profile(alpha), source]
         else:
             profile[0] += count
     return profiles
@@ -482,9 +486,9 @@ def _sample_task(args):
     def samples():
         for i in range(lo, hi):
             masks = random_gen_masks(n, sample_rng(seed, n, i))
-            yield complement_counts(n, alpha_counts_of_ideal(n, masks)), 1, i
+            yield complement_counts(alpha_counts_of_ideal(n, masks)), 1, i
 
-    return _profile_loop(n, samples())
+    return _profile_loop(samples())
 
 
 def _pool_map(workers: int, fn, tasks):
@@ -566,16 +570,13 @@ def run_verification(plan: EnumerationPlan) -> VerifySummary:
                 q_hist[profile.q] = q_hist.get(profile.q, 0) + count
                 # VERIFY_CHECKS is a prefix of CHECK_ORDER, the order of the verdicts
                 for t, verdict in zip(tallies.values(), verdicts):
-                    if verdict is not None:
-                        t.applicable += count
-                        if verdict:
-                            t.failed += count
-                        else:
-                            t.passed += count
+                    if verdict:
+                        t.failed += count
+                    elif verdict is not None:
+                        t.passed += count
     return VerifySummary(
         n=plan.n,
         mode=plan.mode,
-        scanned=sum(q_hist.values()),
         elapsed=time.monotonic() - start,
         seed=plan.seed,
         sample_count=plan.sample_count,

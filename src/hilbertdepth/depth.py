@@ -119,8 +119,8 @@ def _pair_tables(n: int):
 
 def hdepth_pair(counts) -> tuple[int, int, tuple[int, ...]]:
     """(hdepth(S/I), hdepth(I), b^q(S/I)) from the alpha counts of S/I, in one
-    walk; requires 0 <= a_j <= C(n, j), and raises DomainError when S/I or I
-    is zero.
+    walk; raises DomainError naming the first entry outside 0 <= a_j <= C(n, j),
+    which the width below assumes, and when S/I or I is zero.
 
     Each row b^d is one Python int, field k (w = 2n+2 bits) holding b_k^d as
     a signed digit, so a level is one update: row - (row << w) + (a_d << wd).
@@ -144,6 +144,9 @@ def hdepth_pair(counts) -> tuple[int, int, tuple[int, ...]]:
     """
     n = len(counts) - 1
     sign, cap, full = _pair_tables(n)
+    for j, (a, c) in enumerate(zip(counts, full)):
+        if not 0 <= a <= c:
+            raise DomainError(f"alpha entry a_{j} = {a} is outside [0, C({n}, {j}) = {c}]")
     if not any(counts):
         raise DomainError("hdepth is undefined for the zero module (S/I = 0)")
     if tuple(counts) == full:
@@ -173,13 +176,10 @@ class HdepthReport(NamedTuple):
     hdepth_quotient: int
     hdepth_ideal: int
     beta_quotient_at_q: tuple[int, ...]
-    principal: bool
-    in_m2: bool
 
-    @property
-    def n(self) -> int:
-        return self.ideal.n
-
+    n = property(lambda self: self.ideal.n)
+    principal = property(lambda self: self.ideal.is_principal)
+    in_m2 = property(lambda self: self.ideal.in_m2)
     beta_triangle_quotient = property(lambda self: beta_triangle(self.alpha_quotient))
     beta_triangle_ideal = property(lambda self: beta_triangle(self.alpha_ideal))
 
@@ -204,6 +204,4 @@ def hdepth_report(I: Ideal) -> HdepthReport:
         hdepth_quotient=q,
         hdepth_ideal=_depth(beta_rows(a_i))[0],
         beta_quotient_at_q=beta_q,
-        principal=I.is_principal,
-        in_m2=I.in_m2,
     )

@@ -230,7 +230,7 @@ def alpha_vector(J: Ideal, I: Ideal | None = None) -> tuple[int, ...]:
     if not (J.is_unit or I.is_zero or J.contains_ideal(I)):
         raise DomainError("alpha_vector: I is not contained in J")
     if J.is_unit:
-        return complement_counts(n, alpha_counts_of_ideal(n, I.gens))
+        return complement_counts(alpha_counts_of_ideal(n, I.gens))
     counts = alpha_counts_of_ideal(n, J.gens)
     if not I.is_zero:
         # I inside J: a_j(J/I) = a_j(J) - a_j(I)

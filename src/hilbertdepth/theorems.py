@@ -32,7 +32,7 @@ A verdict has that one encoding everywhere, and both evaluation paths return
 one record: a Profile and every predicate's verdict on it, in CHECK_ORDER.
 ``run_checks`` reads the Profile off an HdepthReport (its independent walk
 over each side's beta rows); ``evaluate_profile`` is the allocation-light
-path of the corpus harness: a Profile is a function of n and alpha(S/I) alone
+path of the corpus harness: a Profile is a function of alpha(S/I) alone
 (principality included, via the profile of alpha(I)), so runs are aggregated
 per distinct alpha vector.  ``witness_from_ideal`` re-evaluates one check on
 one ideal through the report path and returns its witness dict when it fails.
@@ -145,7 +145,7 @@ def _principal_profiles(n: int) -> frozenset:
     the complements of the C(n-d, j-d) that ``principal_alpha_profile`` (in
     ``tests/conftest.py``) tests for.  The first nonzero degree of alpha(I)
     fixes d, so membership in this set is that test, in one lookup."""
-    return frozenset(complement_counts(n, [binom(n - d, j - d) for j in range(n + 1)])
+    return frozenset(complement_counts([binom(n - d, j - d) for j in range(n + 1)])
                      for d in range(1, n + 1))
 
 
@@ -189,13 +189,15 @@ def witness_from_ideal(I: Ideal, name: str) -> dict | None:
 
 # --- fast alpha-profile evaluation (corpus harness) ---------------------------
 
-def evaluate_profile(n: int, alpha_sf) -> tuple[Profile, tuple[str | None, ...]]:
-    """Run every named check from (n, alpha(S/I)) alone: the Profile the
-    predicates read, and their verdicts in CHECK_ORDER.
+def evaluate_profile(alpha_sf) -> tuple[Profile, tuple[str | None, ...]]:
+    """Run every named check from alpha(S/I) alone, n = len(alpha_sf) - 1: the
+    Profile the predicates read, and their verdicts in CHECK_ORDER.
 
-    Principality is a lookup of alpha(S/I) in ``_principal_profiles(n)``.
+    ``hdepth_pair`` refuses an entry outside [0, C(n, j)].  Principality is a
+    lookup of alpha(S/I) in ``_principal_profiles(n)``.
     """
     alpha_sf = tuple(alpha_sf)
+    n = len(alpha_sf) - 1
     q, h_ideal, beta_q = hdepth_pair(alpha_sf)
     principal = alpha_sf in _principal_profiles(n)
     in_m2 = alpha_sf[0] == 1 and alpha_sf[1] == n

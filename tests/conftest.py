@@ -1,8 +1,12 @@
-"""Fixtures and oracles shared across test modules."""
+"""Fixtures, oracles and helpers shared across test modules."""
+
+import time
+import tracemalloc
+from math import comb
 
 import pytest
 
-from hilbertdepth.combinatorics import binom
+from hilbertdepth.combinatorics import binom, binom_row, kk_upper_bound, macaulay_rep
 from hilbertdepth.corpus import alpha_census
 
 
@@ -14,12 +18,93 @@ def census6():
     return alpha_census(6)
 
 
-# Every failing n = 9 prefix, zero-padded: an exact scan of the
-# Kruskal-Katona-realizable prefixes finds these 10 at q = 6 (hdepth(I) = 5)
-# and 2 at q = 7 (hdepth(I) = 6), and no other; random sampling does not
-# reach them.
+def traced(fn):
+    """fn()'s value, its wall time in seconds and its traced memory peak in bytes."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        value = fn()
+        return value, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def all_representations(N, k):
+    """Brute force: every strictly-decreasing-top representation of N at k."""
+    out = []
+
+    def rec(idx, max_top, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if idx < 1:
+            return
+        top = idx
+        while comb(top, idx) <= remaining and top < max_top:
+            acc.append((top, idx))
+            rec(idx - 1, top, remaining - comb(top, idx), acc)
+            acc.pop()
+            top += 1
+
+    rec(k, 10**9, N, [])
+    return out
+
+
+# Every failing n = 9 prefix, zero-padded: the exact scan ``failing_prefixes``
+# finds these 10 at q = 6 (hdepth(I) = 5) and 2 at q = 7 (hdepth(I) = 6), and
+# no other; random sampling does not reach them.
 N9_FAILING_ALPHAS = ([(1, 9, 36, 82, 105, 91, a6, 0, 0, 0) for a6 in range(40, 50)]
                      + [(1, 9, 36, 84, 123, 111, 64, a7, 0, 0) for a7 in (20, 21)])
+
+
+def _kk_upper(prefix, n):
+    """The largest a_d that Kruskal-Katona allows after (a_0, ..., a_{d-1})."""
+    d = len(prefix)
+    return min(binom(n, d), n if d == 1 else kk_upper_bound(macaulay_rep(prefix[-1], d - 1)))
+
+
+def realizable_profiles(n):
+    """Every Kruskal-Katona-realizable alpha(S/I) with a_0 = 1 but the full
+    simplex: a_d runs over [0, min(C(n,d), KK+(a_{d-1}))]."""
+    def walk(prefix):
+        if len(prefix) > n:
+            yield prefix
+            return
+        for a in range(_kk_upper(prefix, n) + 1):
+            yield from walk(prefix + (a,))
+    return [alpha for alpha in walk((1,)) if alpha != binom_row(n)]
+
+
+def failing_prefixes(n):
+    """Every realizable prefix (a_0, ..., a_Q), 1 <= Q < n, zero-padded, whose
+    beta row b^Q(S/I) is nonnegative and exceeds the cap C(n-Q+k-1, k) = b_k^Q(S)
+    in some cell k: hdepth(S/I) >= Q > hdepth(I), since b^Q(I) = b^Q(S) - b^Q(S/I).
+
+    Zeroing the levels above Q keeps a complex, and the padded vector has the
+    same b^Q, so these are the failures of hdepth(I) >= hdepth(S/I) at level Q.
+    With rest_k = sum_{j<k} (-1)^(k-j) C(Q-j, k-j) a_j, b_k^Q = a_k + rest_k, so
+    the walk takes a_k from max(0, -rest_k) and never meets a negative cell.
+    b_Q^Q grows with a_Q, so the failing a_Q of a level-(Q-1) node are one
+    interval: all of them once a lower cell is over its cap, else those above
+    cap_Q - rest_Q.  Listed by Q, then in ascending walk order.
+    """
+    found = []
+    for Q in range(1, n):
+        cap = [comb(n - Q + k - 1, k) for k in range(Q + 1)]
+
+        def walk(prefix, over):
+            k = len(prefix)
+            rest = sum((-1) ** (k - j) * comb(Q - j, k - j) * a for j, a in enumerate(prefix))
+            lo, hi = max(0, -rest), _kk_upper(prefix, n)
+            if k == Q:
+                first = lo if over else max(lo, cap[Q] - rest + 1)
+                found.extend(prefix + (a,) + (0,) * (n - Q) for a in range(first, hi + 1))
+                return
+            for a in range(lo, hi + 1):
+                walk(prefix + (a,), over or a + rest > cap[k])
+
+        walk((1,), False)
+    return found
 
 
 def principal_alpha_profile(n: int, alpha_ideal) -> bool:

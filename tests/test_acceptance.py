@@ -19,6 +19,8 @@ from hilbertdepth.depth import alpha_from_beta, beta_values
 from hilbertdepth.ideals import parse_ideal
 from hilbertdepth.theorems import reproduce_bound_tables, witness_from_ideal
 
+from conftest import all_representations
+
 SAMPLE_SEED = 42
 SAMPLE_COUNT = 100_000
 SEARCH_SEED = 7
@@ -171,27 +173,8 @@ def test_criterion_09_inversion_fuzz():
 
 def test_criterion_10_macaulay_and_kk():
     # uniqueness against brute force for N <= 200, k <= 6
-    def all_reps(N, k):
-        out = []
-
-        def rec(idx, max_top, remaining, acc):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            if idx < 1:
-                return
-            top = idx
-            while comb(top, idx) <= remaining and top < max_top:
-                acc.append((top, idx))
-                rec(idx - 1, top, remaining - comb(top, idx), acc)
-                acc.pop()
-                top += 1
-
-        rec(k, 10**9, N, [])
-        return out
-
     unique_ok = all(
-        all_reps(N, k) == [macaulay_rep(N, k).terms]
+        all_representations(N, k) == [macaulay_rep(N, k).terms]
         for k in range(1, 7) for N in range(1, 201))
 
     # Kruskal-Katona consistency across every enumerated complex, n <= 5

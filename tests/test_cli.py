@@ -7,7 +7,6 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from hilbertdepth.depth import beta_values, hdepth_report
 from hilbertdepth.ideals import parse_ideal
 from hilbertdepth.theorems import CHECK_ORDER, witness_from_ideal
 
-from conftest import N9_FAILING_ALPHAS
+from conftest import N9_FAILING_ALPHAS, traced
 
 
 def run_cli(capsys, *argv):
@@ -229,7 +228,7 @@ def test_verify_text_deterministic_bytes(capsys, monkeypatch):
 def _pin_n9_failing_profile(monkeypatch):
     # every sample draws the generators of a pinned n = 9 profile on which
     # main and q6-bounds fail through the real checks
-    ideal = compressed_complex_ideal(9, N9_FAILING_ALPHAS[0])
+    ideal = compressed_complex_ideal(N9_FAILING_ALPHAS[0])
     monkeypatch.setattr(corpus, "random_gen_masks", lambda n, rng: list(ideal.gens))
 
 
@@ -410,8 +409,8 @@ def test_verify_csv_rows(capsys):
 def test_verify_csv_failing_rows(capsys, monkeypatch):
     # the two samples are the pinned n = 9 profiles: q = 6, where main and
     # q6-bounds fail, then q = 7, where main and lemma79 fail
-    ideals = iter([compressed_complex_ideal(9, N9_FAILING_ALPHAS[0]),
-                   compressed_complex_ideal(9, N9_FAILING_ALPHAS[10])])
+    ideals = iter([compressed_complex_ideal(N9_FAILING_ALPHAS[0]),
+                   compressed_complex_ideal(N9_FAILING_ALPHAS[10])])
     monkeypatch.setattr(cli, "random_ideal", lambda n, rng: next(ideals))
     code, out, _ = run_cli(capsys, "verify", "--random", "-n", "9", "--samples", "2",
                            "--seed", "0", "--format", "csv")
@@ -434,7 +433,7 @@ def test_report_path_builds_no_beta_triangle(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--exhaustive", "-n", "3", "--format", "csv")
     assert (code, out) == (0, expected)
     alpha = N9_FAILING_ALPHAS[0]
-    w = witness_from_ideal(compressed_complex_ideal(9, alpha), "main")
+    w = witness_from_ideal(compressed_complex_ideal(alpha), "main")
     assert w["beta_quotient_at_q"] == list(beta_values(alpha, 6))
 
 
@@ -663,12 +662,7 @@ def test_wide_n_range_is_checked_without_listing_it(capsys):
     for argv in (["verify", "--exhaustive", "--n-range", "1..2000000"],
                  ["search", "--predicate", "main", "--random", "--n-range", "2..2000000",
                   "--samples", "5", "--seed", "1"]):
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, *argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err), _, peak = traced(lambda: run_cli(capsys, *argv))
         assert code == 4, argv
         assert out == "" and "capacity error" in err
         assert peak < 1 << 20, (argv, peak)

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertdepth.combinatorics import (N_MAX, MacaulayRep, binom, binom_diff,
-                                        binom_row, colex_mask, kk_lower_bound,
-                                        kk_upper_bound, macaulay_rep)
+                                        binom_row, colex_mask, complement_counts,
+                                        kk_lower_bound, kk_upper_bound, macaulay_rep)
+
+from conftest import all_representations
 
 
 def pascal_oracle(limit):
@@ -51,6 +53,14 @@ def test_binom_row():
     assert binom_row(4) == (1, 4, 6, 4, 1)
 
 
+def test_complement_counts_reads_n_off_the_vector():
+    # n = len(counts) - 1: one entry out per entry in, at every length
+    assert complement_counts((1, 2, 3, 4, 5)) == (0, 2, 3, 0, -4)
+    assert complement_counts((1, 3, 2, 0)) == (0, 0, 1, 1)
+    for n in range(6):
+        assert complement_counts(binom_row(n)) == (0,) * (n + 1)
+
+
 # --- Macaulay representations -------------------------------------------------
 
 def test_macaulay_examples():
@@ -74,27 +84,6 @@ def test_macaulay_reconstruction_fuzz(N, k):
     rep = macaulay_rep(N, k)
     assert rep.is_valid()
     assert rep.value == N
-
-
-def all_representations(N, k):
-    """Brute force: every strictly-decreasing-top representation of N at k."""
-    out = []
-
-    def rec(idx, max_top, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if idx < 1:
-            return
-        top = idx
-        while comb(top, idx) <= remaining and top < max_top:
-            acc.append((top, idx))
-            rec(idx - 1, top, remaining - comb(top, idx), acc)
-            acc.pop()
-            top += 1
-
-    rec(k, 10**9, N, [])
-    return out
 
 
 def test_macaulay_uniqueness_bruteforce():

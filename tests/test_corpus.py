@@ -1,8 +1,6 @@
 """Enumeration, sampling, the verification harness, and search."""
 
 import hashlib
-import time
-import tracemalloc
 from collections import Counter
 from itertools import accumulate, combinations
 from math import comb
@@ -21,6 +19,8 @@ from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  search_counterexample)
 from hilbertdepth.errors import CapacityError
 from hilbertdepth.ideals import alpha_of_quotient, minimalize, parse_ideal
+
+from conftest import traced
 
 
 def brute_force_downset_count(n):
@@ -100,17 +100,6 @@ def test_enumeration_no_duplicates_and_invariants():
                     if a != b:
                         assert a & ~b != 0, "not an antichain"
         assert len(seen) == PROPER_IDEAL_COUNTS[n]
-
-
-def traced(fn):
-    """fn()'s value, its wall time in seconds and its traced memory peak in bytes."""
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        value = fn()
-        return value, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_enumeration_capacity():
@@ -271,11 +260,11 @@ def test_degree_weights_shape():
 
 def test_compressed_complex_realizes_alpha():
     alpha = (1, 9, 33, 65, 75, 51, 19, 3, 0, 0)
-    ideal = compressed_complex_ideal(9, alpha)
+    ideal = compressed_complex_ideal(alpha)
     assert tuple(alpha_of_quotient(ideal)) == alpha
     # a non-closed family is rejected: 1 vertex cannot carry an edge
     with pytest.raises(ValueError):
-        compressed_complex_ideal(3, (1, 1, 1, 0))
+        compressed_complex_ideal((1, 1, 1, 0))
 
 
 def brute_force_compressed_gens(n, alpha):
@@ -296,7 +285,7 @@ def test_compressed_complex_matches_brute_force(census6):
         profiles += [(n, alpha_of_quotient(random_ideal(n, sample_rng(5, n, i))))
                      for i in range(40)]
     for n, alpha in profiles:
-        assert compressed_complex_ideal(n, alpha).gens == \
+        assert compressed_complex_ideal(alpha).gens == \
             brute_force_compressed_gens(n, alpha), (n, alpha)
 
 
@@ -317,7 +306,7 @@ def test_compressed_complex_rejects_out_of_range_entries(alpha, monkeypatch):
 
     def rejected():
         with pytest.raises(ValueError, match="not realizable"):
-            compressed_complex_ideal(5, alpha)
+            compressed_complex_ideal(alpha)
 
     monkeypatch.setattr(corpus, "colex_mask", counted)
     _, elapsed, peak = traced(rejected)
@@ -328,7 +317,7 @@ def test_compressed_complex_builds_no_level_table():
     # the level tables would hold all 2^16 masks: 5.3 s and 52 MB traced
     n = 16
     alpha = (1, n, comb(n, 2)) + (0,) * (n - 2)
-    ideal, elapsed, peak = traced(lambda: compressed_complex_ideal(n, alpha))
+    ideal, elapsed, peak = traced(lambda: compressed_complex_ideal(alpha))
     assert ideal.gens == tuple(m for m in range(1 << n) if m.bit_count() == 3)
     assert elapsed < 1 and peak < 2_000_000
 
@@ -336,7 +325,7 @@ def test_compressed_complex_builds_no_level_table():
 def test_find_ideal_with_alpha_realizes_every_census_profile():
     for n in range(1, 6):
         for alpha in alpha_census(n):
-            assert tuple(alpha_of_quotient(find_ideal_with_alpha(n, alpha))) == alpha
+            assert tuple(alpha_of_quotient(find_ideal_with_alpha(alpha))) == alpha
 
 
 # --- harness ----------------------------------------------------------------------
@@ -472,7 +461,7 @@ def test_exhaustive_plan_parts_are_the_census():
     census = alpha_census(4)
     assert {alpha: p[0] for alpha, p in part.items()} == census
     for alpha in census:
-        assert realize(alpha) == (compressed_complex_ideal(4, alpha), {})
+        assert realize(alpha) == (compressed_complex_ideal(alpha), {})
 
 
 def test_search_unknown_predicate():

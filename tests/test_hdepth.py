@@ -127,7 +127,7 @@ def reference_pair(a):
     """What hdepth_pair must return, through the tuple recurrence, with the
     I side walked from alpha(I) itself."""
     q = hdepth(a)
-    return q, hdepth(complement_counts(len(a) - 1, a)), beta_values(a, q)
+    return q, hdepth(complement_counts(a)), beta_values(a, q)
 
 
 def test_hdepth_pair_matches_reference_exactly(census6):
@@ -157,7 +157,7 @@ def test_cone_lemma_raises_both_depths_by_one(census6):
             q, h, _ = hdepth_pair(a)
             cone = tuple(x + y for x, y in zip(a + (0,), (0,) + a))
             assert hdepth_pair(cone)[:2] == (q + 1, h + 1)
-            report = hdepth_report(Ideal(n + 1, compressed_complex_ideal(n, a).gens))
+            report = hdepth_report(Ideal(n + 1, compressed_complex_ideal(a).gens))
             assert report.alpha_quotient == cone
             assert (report.hdepth_quotient, report.hdepth_ideal) == (q + 1, h + 1)
 

@@ -80,11 +80,11 @@ def test_family_argument_numeric_steps():
 def test_compressed_witness_facet_sizes(alpha, sizes):
     # the smallest facet bounds the multigraded (and Stanley) depth of S/I, so
     # under that notion each witness's depth of S/I is below its q
-    assert facet_sizes(compressed_complex_ideal(N, alpha)) == sizes
+    assert facet_sizes(compressed_complex_ideal(alpha)) == sizes
 
 
 def test_family_facets_differ_from_compressed_until_a6_is_49():
     low = family_ideal(40)
     assert facet_sizes(low) == {3: 5, 6: 40}
-    assert low != compressed_complex_ideal(N, (1, 9, 36, 82, 105, 91, 40, 0, 0, 0))
-    assert family_ideal(49) == compressed_complex_ideal(N, (1, 9, 36, 82, 105, 91, 49, 0, 0, 0))
+    assert low != compressed_complex_ideal((1, 9, 36, 82, 105, 91, 40, 0, 0, 0))
+    assert family_ideal(49) == compressed_complex_ideal((1, 9, 36, 82, 105, 91, 49, 0, 0, 0))

@@ -5,7 +5,6 @@ the witness-found branch is driven by monkeypatched evaluation.
 """
 
 import itertools
-import tracemalloc
 
 import pytest
 
@@ -14,6 +13,8 @@ from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS, random_ge
                                  random_ideal, sample_rng, search_counterexample)
 from hilbertdepth.ideals import alpha_of_quotient, minimalize
 from hilbertdepth.theorems import CHECK_ORDER, Profile
+
+from conftest import traced
 
 
 # a stand-in for the Profile the verdicts read; the harness takes only its q
@@ -24,7 +25,7 @@ def _always_failing(name):
     """An evaluate_profile stand-in under which only ``name`` applies, and fails."""
     pos = CHECK_ORDER.index(name)
 
-    def evaluate(n, alpha_sf):
+    def evaluate(alpha_sf):
         verdicts = [None] * len(CHECK_ORDER)
         verdicts[pos] = "injected"
         return _PROFILE, tuple(verdicts)
@@ -65,12 +66,7 @@ def test_huge_budget_search_stays_in_bounded_memory(monkeypatch):
     monkeypatch.setattr(corpus, "witness_from_ideal", _stub_witness)
 
     plan = EnumerationPlan(n=7, mode="random", sample_count=10**9, seed=4)
-    tracemalloc.start()
-    try:
-        report = search_counterexample(plan, "main", max_witnesses=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, _, peak = traced(lambda: search_counterexample(plan, "main", max_witnesses=1))
     assert report.instances_scanned == 2000
     assert peak < 4 * 2**20
 
@@ -85,17 +81,13 @@ def test_search_memory_does_not_grow_with_its_budget(monkeypatch):
     monkeypatch.setattr(corpus, "random_gen_masks", lambda n, rng: [])
     monkeypatch.setattr(corpus, "alpha_counts_of_ideal",
                         lambda n, masks: (next(distinct),) + (0,) * n)
-    monkeypatch.setattr(corpus, "evaluate_profile", lambda n, alpha: outcome)
+    monkeypatch.setattr(corpus, "evaluate_profile", lambda alpha: outcome)
     monkeypatch.setattr(corpus, "_SAMPLE_TASK_SIZE", 200)
 
     def traced_search(samples):
         plan = EnumerationPlan(n=12, mode="random", sample_count=samples, seed=4)
-        tracemalloc.start()
-        try:
-            report = search_counterexample(plan, "main")
-            return report, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, _, peak = traced(lambda: search_counterexample(plan, "main"))
+        return report, peak
 
     traced_search(400)  # fills the caches the two measured runs share
     small, small_peak = traced_search(2_000)

@@ -68,14 +68,14 @@ def test_series_oracle_matches_every_census_profile(census6):
     profiles = 0
     for n in range(1, 7):
         for alpha in (census6 if n == 6 else alpha_census(n)):
-            assert _agrees(compressed_complex_ideal(n, alpha))[0] == alpha
+            assert _agrees(compressed_complex_ideal(alpha))[0] == alpha
             profiles += 1
     assert profiles == 681
 
 
 def test_series_oracle_matches_the_failing_n9_prefixes():
     # the 10 failing prefixes at q = 6 and the 2 at q = 7
-    checked = [_agrees(compressed_complex_ideal(9, alpha)) for alpha in N9_FAILING_ALPHAS]
+    checked = [_agrees(compressed_complex_ideal(alpha)) for alpha in N9_FAILING_ALPHAS]
     assert checked == list(zip(N9_FAILING_ALPHAS, [(6, 5)] * 10 + [(7, 6)] * 2))
 
 

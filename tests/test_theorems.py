@@ -1,16 +1,21 @@
 """Checkers, the fast profile evaluator, and the published bound tables."""
 
-from hilbertdepth.combinatorics import (binom, binom_diff, binom_row, complement_counts,
-                                        kk_upper_bound, macaulay_rep)
+import re
+
+import pytest
+
+from hilbertdepth.combinatorics import binom, binom_diff, binom_row, complement_counts
 from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumerate_ideals,
                                  random_ideal, sample_rng)
-from hilbertdepth.depth import beta_values, hdepth_report, ring_beta_row
+from hilbertdepth.depth import beta_values, hdepth_pair, hdepth_report, ring_beta_row
+from hilbertdepth.errors import DomainError
 from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
 from hilbertdepth.theorems import (CHECK_ORDER, PREDICATES, VERIFY_CHECKS, Profile,
                                    _principal_profiles, _witness, evaluate_profile,
                                    reproduce_bound_tables, run_checks, witness_from_ideal)
 
-from conftest import N9_FAILING_ALPHAS, principal_alpha_profile
+from conftest import (N9_FAILING_ALPHAS, failing_prefixes, principal_alpha_profile,
+                      realizable_profiles)
 
 
 def _verdict(report, name):
@@ -70,7 +75,7 @@ def test_lemma79_gating_and_constructed_instance():
     # a quotient realizing the minimal level-7 profile: built from colex-first
     # families, it has beta^7 = (1, 2, 0, ..., 0) and depth exactly 7
     alpha = (1, 9, 33, 65, 75, 51, 19, 3, 0, 0)
-    ideal = compressed_complex_ideal(9, alpha)
+    ideal = compressed_complex_ideal(alpha)
     assert tuple(alpha_of_quotient(ideal)) == alpha
     r = hdepth_report(ideal)
     assert r.hdepth_quotient == 7
@@ -106,7 +111,7 @@ def _record_of_both_paths(ideal):
     """run_checks' (Profile, verdicts) on the ideal's report, asserted equal
     to evaluate_profile's on its alpha vector."""
     r = hdepth_report(ideal)
-    record = evaluate_profile(ideal.n, tuple(r.alpha_quotient))
+    record = evaluate_profile(tuple(r.alpha_quotient))
     assert run_checks(r) == record, ideal
     return record
 
@@ -123,7 +128,7 @@ def test_evaluate_profile_matches_rich_checkers_exhaustive():
             at_q7 += profile.q == 7
     assert at_q7 == 244
     for alpha in N9_FAILING_ALPHAS:
-        profile, verdicts = _record_of_both_paths(compressed_complex_ideal(9, alpha))
+        profile, verdicts = _record_of_both_paths(compressed_complex_ideal(alpha))
         # main and one cap check fail together, on the one cap cell
         failing = {name: v for name, v in zip(CHECK_ORDER, verdicts) if v}
         cap_check, cell = (("q6-bounds", "b_5^6 = 22 > 21") if profile.q == 6
@@ -132,30 +137,16 @@ def test_evaluate_profile_matches_rich_checkers_exhaustive():
         assert failing[cap_check] == cell
 
 
-def _realizable_profiles(n):
-    """Every Kruskal-Katona-realizable alpha(S/I) with a_0 = 1 but the full
-    simplex: a_d runs over [0, min(C(n,d), KK+(a_{d-1}))]."""
-    def walk(prefix):
-        d = len(prefix)
-        if d > n:
-            yield prefix
-            return
-        upper = n if d == 1 else kk_upper_bound(macaulay_rep(prefix[-1], d - 1))
-        for a in range(min(binom(n, d), upper) + 1):
-            yield from walk(prefix + (a,))
-    return [alpha for alpha in walk((1,)) if alpha != binom_row(n)]
-
-
 def test_cap_checks_restate_main_on_every_profile_n7_n8():
     # by b_k^q(I) = b_k^q(S) - b_k^q(S/I), q6-bounds and lemma79 fail on their
     # gates exactly when main fails, and bound-equivalence never fails; main
     # itself passes on every realizable profile, so no prefix fails at n = 7, 8
     counts = {}
     for n in (7, 8):
-        profiles = _realizable_profiles(n)
+        profiles = realizable_profiles(n)
         q6_applicable = 0
         for alpha in profiles:
-            v = dict(zip(CHECK_ORDER, evaluate_profile(n, alpha)[1]))
+            v = dict(zip(CHECK_ORDER, evaluate_profile(alpha)[1]))
             assert v["main"] == "", alpha
             if v["q6-bounds"] is not None:
                 q6_applicable += 1
@@ -166,10 +157,35 @@ def test_cap_checks_restate_main_on_every_profile_n7_n8():
     assert counts == {7: (5459, 0), 8: (100707, 938)}
 
 
+def test_exact_prefix_scan_finds_exactly_the_n9_failures():
+    # every realizable prefix at every level 1 <= Q < n, for every a_1: none
+    # fails below n = 9, and at n = 9 exactly the 12 pinned ones do
+    for n in range(1, 9):
+        assert failing_prefixes(n) == [], n
+    assert failing_prefixes(9) == N9_FAILING_ALPHAS
+
+
+def test_profile_reads_n_off_the_alpha_vector():
+    profile, verdicts = evaluate_profile((1, 3, 2, 0))
+    assert profile.n == 3
+    assert (profile, verdicts) == run_checks(hdepth_report(parse_ideal("x2*x3", 3)))
+
+
+def test_alpha_entries_outside_their_binomial_range_are_refused():
+    # a_j must lie in [0, C(n, j)]: the packed walk's field width assumes it
+    for alpha, entry in (((1, 4, 2, 0), "a_1 = 4 is outside [0, C(3, 1) = 3]"),
+                         ((1, 3, 9, 0), "a_2 = 9 is outside [0, C(3, 2) = 3]"),
+                         ((1, 3, -1, 0), "a_2 = -1 is outside [0, C(3, 2) = 3]"),
+                         ((1, 9, 36, 82, 105, 91, 40, 0, 0, 2), "a_9 = 2 is outside")):
+        for evaluate in (hdepth_pair, evaluate_profile):
+            with pytest.raises(DomainError, match=re.escape(f"alpha entry {entry}")):
+                evaluate(alpha)
+
+
 def _lookup_agrees(n, alpha_sf):
-    expected = principal_alpha_profile(n, complement_counts(n, alpha_sf))
+    expected = principal_alpha_profile(n, complement_counts(alpha_sf))
     assert (alpha_sf in _principal_profiles(n)) == expected, (n, alpha_sf)
-    assert evaluate_profile(n, alpha_sf)[0].principal == expected, (n, alpha_sf)
+    assert evaluate_profile(alpha_sf)[0].principal == expected, (n, alpha_sf)
     return expected
 
 
@@ -196,7 +212,7 @@ def test_principal_lookup_matches_alpha_profile_test(census6):
 
 
 def test_n9_q6_counterexample_pinned():
-    ideal = compressed_complex_ideal(9, N9_Q6_ALPHA)
+    ideal = compressed_complex_ideal(N9_Q6_ALPHA)
     common = {
         "n": 9,
         "ideal": "x6*x8*x9, x7*x8*x9, x1*x2*x8*x9, x1*x3*x8*x9, x2*x3*x8*x9, "
@@ -225,7 +241,7 @@ def test_n9_q6_counterexample_pinned():
 
 
 def test_n9_q7_counterexample_pinned():
-    ideal = compressed_complex_ideal(9, N9_Q7_ALPHA)
+    ideal = compressed_complex_ideal(N9_Q7_ALPHA)
     common = {
         "n": 9,
         "ideal": "x4*x7*x8*x9, x5*x7*x8*x9, x6*x7*x8*x9, x1*x2*x7*x8*x9, "
@@ -329,7 +345,7 @@ def test_beta47_witness_exists_and_roundtrips():
     # complex on 10 vertices (first a_j faces of each level in colex order)
     # has depth exactly 7 and b_4^7 = 19 > C(6,4) = 15
     alpha = (1, 10, 45, 112, 182, 195, 120, 31, 0, 0, 0)
-    ideal = compressed_complex_ideal(10, alpha)
+    ideal = compressed_complex_ideal(alpha)
     witness = witness_from_ideal(ideal, "beta47-bound")
     assert witness is not None
     assert witness["violated"] == "b_4^7 = 19 > 15"
