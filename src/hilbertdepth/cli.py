@@ -179,12 +179,12 @@ def cmd_compute(args) -> int:
 
 def _summary_json(summary: VerifySummary, deterministic: bool) -> dict:
     out = {
-        "n": summary.n,
-        "mode": summary.mode,
+        "n": summary.plan.n,
+        "mode": summary.plan.mode,
         "scanned": summary.scanned,
-        "sample_count": summary.sample_count,
-        "seed": summary.seed,
-        "workers": summary.workers,
+        "sample_count": summary.plan.sample_count,
+        "seed": summary.plan.seed,
+        "workers": summary.plan.workers,
         "distinct_profiles": summary.distinct_profiles,
         "checks": {name: {"applicable": t.applicable, "passed": t.passed, "failed": t.failed}
                    for name, t in sorted(summary.checks.items())},
@@ -198,12 +198,12 @@ def _summary_json(summary: VerifySummary, deterministic: bool) -> dict:
 
 
 def _summary_text(summary: VerifySummary, deterministic: bool) -> str:
+    plan = summary.plan
     lines = [
-        f"verification (n={summary.n}, {summary.mode}"
-        + (f", samples={summary.sample_count}, seed={summary.seed}"
-           if summary.mode == "random" else "")
+        f"verification (n={plan.n}, {plan.mode}"
+        + (f", samples={plan.sample_count}, seed={plan.seed}" if plan.mode == "random" else "")
         + f"): scanned {summary.scanned} ideals, {summary.distinct_profiles} distinct profiles, "
-        + ("" if deterministic else f"{summary.elapsed:.2f}s, ") + f"workers={summary.workers}",
+        + ("" if deterministic else f"{summary.elapsed:.2f}s, ") + f"workers={plan.workers}",
         f"  {'check':28s} {'applicable':>12s} {'passed':>12s} {'failed':>8s}",
     ]
     for name, t in sorted(summary.checks.items()):

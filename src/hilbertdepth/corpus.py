@@ -212,7 +212,8 @@ def compressed_complex_ideal(alpha: tuple[int, ...]) -> Ideal:
     """The ideal on n = len(alpha) - 1 variables whose quotient complex takes
     the first alpha[d] d-sets of each level d in colex order.  Valid only for
     Kruskal-Katona consistent alpha vectors, 0 <= a_d <= KK^+(a_{d-1}) at
-    every level; raises ValueError otherwise.
+    every level; raises ValueError otherwise, and CapacityError, before any
+    unranking, when n exceeds ALPHA_N_MAX, the cap of the closing self-check.
 
     In colex order a d-set's largest facet is the one that drops its lowest
     element.  So a d-set has all its facets among the first N colex
@@ -226,6 +227,8 @@ def compressed_complex_ideal(alpha: tuple[int, ...]) -> Ideal:
     if not alpha or alpha[0] != 1:
         raise ValueError("alpha must be (1, a_1, ..., a_n)")
     n = len(alpha) - 1
+    if n > ALPHA_N_MAX:
+        raise CapacityError(f"compressed_complex_ideal: n={n} exceeds cap {ALPHA_N_MAX}")
     gens, upper = [], n
     for d, a in enumerate(alpha[1:], 1):
         # by induction every rank range stays within the C(n, d) d-sets
@@ -416,12 +419,10 @@ class CheckerTally:
 
 
 class VerifySummary(NamedTuple):
-    n: int
-    mode: str
+    """One verification run's tallies over the corpus of its ``plan``."""
+
+    plan: EnumerationPlan
     elapsed: float
-    seed: int | None
-    sample_count: int
-    workers: int
     checks: dict[str, CheckerTally]
     witnesses: list[dict]
     distinct_profiles: int
@@ -440,15 +441,18 @@ class VerifySummary(NamedTuple):
 
 
 class SearchReport(NamedTuple):
-    """One search's result; its status is read off its witnesses and mode."""
+    """One search's result over the plans it checked, one per n, which share a
+    mode and seed; its status is read off its witnesses and that mode."""
 
     predicate: str
-    n_values: tuple[int, ...]
-    mode: str
+    plans: tuple[EnumerationPlan, ...]
     instances_scanned: int
     witnesses: list[dict]
     elapsed: float
-    seed: int | None
+
+    n_values = property(lambda self: tuple(plan.n for plan in self.plans))
+    mode = property(lambda self: self.plans[0].mode)
+    seed = property(lambda self: self.plans[0].seed)
 
     @property
     def status(self) -> str:
@@ -575,12 +579,8 @@ def run_verification(plan: EnumerationPlan) -> VerifySummary:
                     elif verdict is not None:
                         t.passed += count
     return VerifySummary(
-        n=plan.n,
-        mode=plan.mode,
+        plan=plan,
         elapsed=time.monotonic() - start,
-        seed=plan.seed,
-        sample_count=plan.sample_count,
-        workers=plan.workers,
         checks=tallies,
         witnesses=witnesses,
         distinct_profiles=len(alphas),
@@ -606,8 +606,7 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
         for profiles, part_witnesses in parts:
             scanned += sum(profile[0] for profile in profiles.values())
             witnesses += part_witnesses
-    return SearchReport(predicate, (plan.n,), plan.mode, scanned, witnesses,
-                        time.monotonic() - start, plan.seed)
+    return SearchReport(predicate, (plan,), scanned, witnesses, time.monotonic() - start)
 
 
 def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
@@ -618,9 +617,13 @@ def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
     Random mode splits ``sample_count`` evenly over the n values (the first
     ones take the remainder; an n whose share is 0 is skipped).  The search
     stops at the first n that brings the witness count to ``max_witnesses``.
+    The combined report holds every requested n's plan before the split.
     """
+    if not n_values:
+        raise ValueError("search_n_range needs at least one n")
     # every n is checked, as the request gives it, before the first scan
-    plans = [EnumerationPlan(n, mode, sample_count, seed, workers) for n in n_values]
+    requested = tuple(EnumerationPlan(n, mode, sample_count, seed, workers) for n in n_values)
+    plans = requested
     if mode == "random":
         share, extra = divmod(sample_count, len(plans))
         plans = [plan._replace(sample_count=share + (i < extra))
@@ -633,7 +636,6 @@ def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
         witnesses.extend(report.witnesses)
         if len(witnesses) >= max_witnesses:
             break
-    combined = SearchReport(predicate, tuple(n_values), mode,
-                            sum(r.instances_scanned for r in per_n), witnesses,
-                            sum(r.elapsed for r in per_n), seed)
+    combined = SearchReport(predicate, requested, sum(r.instances_scanned for r in per_n),
+                            witnesses, sum(r.elapsed for r in per_n))
     return combined, per_n

@@ -27,8 +27,8 @@ from itertools import islice
 from operator import sub
 from typing import NamedTuple
 
-from .combinatorics import binom, binom_row
-from .errors import DomainError
+from .combinatorics import N_MAX, binom, binom_row
+from .errors import CapacityError, DomainError
 from .ideals import Ideal, alpha_of_ideal, alpha_of_quotient
 
 
@@ -109,7 +109,9 @@ def _pair_tables(n: int):
     """Per-n tables of ``hdepth_pair``, fields w = 2n+2 bits wide: for each
     level d, B_d (bit w-1 of fields 0..d) and P_d = B_d + the packed row
     ``ring_beta_row(n, d)`` of S; plus the binomial row, the alpha vector
-    of S."""
+    of S.  Raises CapacityError above N_MAX."""
+    if n > N_MAX:
+        raise CapacityError(f"hdepth_pair: n={n} exceeds cap {N_MAX}")
     w = 2 * n + 2
     sign = tuple(sum(1 << (w * k + w - 1) for k in range(d + 1)) for d in range(n + 1))
     cap = tuple(b + sum(c << (w * k) for k, c in enumerate(ring_beta_row(n, d)))
@@ -119,8 +121,9 @@ def _pair_tables(n: int):
 
 def hdepth_pair(counts) -> tuple[int, int, tuple[int, ...]]:
     """(hdepth(S/I), hdepth(I), b^q(S/I)) from the alpha counts of S/I, in one
-    walk; raises DomainError naming the first entry outside 0 <= a_j <= C(n, j),
-    which the width below assumes, and when S/I or I is zero.
+    walk; raises CapacityError when n exceeds N_MAX, and DomainError naming the
+    first entry outside 0 <= a_j <= C(n, j), which the width below assumes, and
+    when S/I or I is zero.
 
     Each row b^d is one Python int, field k (w = 2n+2 bits) holding b_k^d as
     a signed digit, so a level is one update: row - (row << w) + (a_d << wd).

@@ -72,11 +72,11 @@ def test_criterion_02_exhaustive_depth_comparison_n6(n6_summary):
           and s.checks["main"].failed == 0
           and s.checks["main"].applicable == s.scanned
           and max(s.q_histogram) <= 5  # proper ideals never reach q = n
-          and s.workers >= 4
+          and s.plan.workers >= 4
           and s.elapsed < 600.0)
     _line(2, ok,
           f"n=6 exhaustive: {s.scanned} complexes, 0 violations, "
-          f"{s.elapsed:.1f}s (< 600s), workers={s.workers} requested; "
+          f"{s.elapsed:.1f}s (< 600s), workers={s.plan.workers} requested; "
           "exhaustive runs use one process")
 
 
@@ -93,9 +93,9 @@ def test_criterion_03_sampled_depth_comparison(sampled):
     ok = True
     for n, s in sorted(sampled.items()):
         good = (s.scanned == SAMPLE_COUNT and s.checks["main"].failed == 0
-                and s.seed == SAMPLE_SEED)
+                and s.plan.seed == SAMPLE_SEED)
         ok = ok and good
-        details.append(f"n={n}: {s.scanned} samples seed={s.seed} failures=0")
+        details.append(f"n={n}: {s.scanned} samples seed={s.plan.seed} failures=0")
     # bit-reproducibility: an identical plan replays to identical tallies
     a = run_verification(EnumerationPlan(n=7, mode="random", sample_count=3000,
                                          seed=SAMPLE_SEED))

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from hilbertdepth import corpus
-from hilbertdepth.combinatorics import colex_mask
+from hilbertdepth.combinatorics import N_MAX, colex_mask
 from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  alpha_census, compressed_complex_ideal,
                                  default_degree_weights,
@@ -16,9 +16,11 @@ from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS,
                                  find_ideal_with_alpha, random_gen_masks,
                                  random_ideal,
                                  run_verification, sample_rng,
-                                 search_counterexample)
+                                 search_counterexample, search_n_range)
+from hilbertdepth.depth import hdepth_pair
 from hilbertdepth.errors import CapacityError
-from hilbertdepth.ideals import alpha_of_quotient, minimalize, parse_ideal
+from hilbertdepth.ideals import ALPHA_N_MAX, alpha_of_quotient, minimalize, parse_ideal
+from hilbertdepth.theorems import evaluate_profile
 
 from conftest import traced
 
@@ -322,6 +324,21 @@ def test_compressed_complex_builds_no_level_table():
     assert elapsed < 1 and peak < 2_000_000
 
 
+def test_capacity_is_refused_before_any_walk(monkeypatch):
+    # n is read off the vector's length and refused, naming it, before any
+    # work: the self-check counts alpha over the 2^n lattice, and hdepth_pair's
+    # tables read C(n, k)
+    calls = []
+    monkeypatch.setattr(corpus, "colex_mask", lambda r, k: calls.append(r))
+    for n in (ALPHA_N_MAX + 1, N_MAX + 1):
+        with pytest.raises(CapacityError, match=f"n={n} exceeds cap {ALPHA_N_MAX}"):
+            compressed_complex_ideal((1, n) + (0,) * (n - 1))
+    assert calls == []
+    for evaluate in (hdepth_pair, evaluate_profile):
+        with pytest.raises(CapacityError, match=f"n={N_MAX + 1} exceeds cap {N_MAX}"):
+            evaluate((1,) + (0,) * (N_MAX + 1))
+
+
 def test_find_ideal_with_alpha_realizes_every_census_profile():
     for n in range(1, 6):
         for alpha in alpha_census(n):
@@ -376,7 +393,7 @@ def test_run_verification_random_small():
     summary = run_verification(plan)
     assert summary.scanned == 1500
     assert summary.total_failures == 0
-    assert summary.seed == 99
+    assert summary.plan.seed == 99
 
 
 def test_run_verification_worker_count_invariance():
@@ -442,10 +459,20 @@ def test_search_random_inconclusive():
 
 
 def test_search_status_is_read_off_witnesses_and_mode():
-    found = corpus.SearchReport("main", (9,), "random", 1, [{"check": "main"}], 0.0, 42)
+    plans = (EnumerationPlan(9, "random", 1, 42),)
+    found = corpus.SearchReport("main", plans, 1, [{"check": "main"}], 0.0)
+    assert (found.n_values, found.mode, found.seed) == ((9,), "random", 42)
     assert found.status == "witnesses-found"
     assert found._replace(witnesses=[]).status == "inconclusive"
-    assert found._replace(witnesses=[], mode="exhaustive").status == "none-exhaustive"
+    exhaustive = (EnumerationPlan(4, "exhaustive"),)
+    assert found._replace(witnesses=[], plans=exhaustive).status == "none-exhaustive"
+
+
+def test_search_n_range_refuses_an_empty_range():
+    # an exhaustive search over no n would report none-exhaustive over no corpus
+    for mode, samples, seed in (("exhaustive", 0, None), ("random", 100, 1)):
+        with pytest.raises(ValueError, match="at least one n"):
+            search_n_range("main", [], mode, samples, seed, 1, 1)
 
 
 def test_random_plan_parts_are_its_sample_tasks():

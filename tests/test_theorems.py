@@ -157,6 +157,16 @@ def test_cap_checks_restate_main_on_every_profile_n7_n8():
     assert counts == {7: (5459, 0), 8: (100707, 938)}
 
 
+def test_realizable_walk_yields_exactly_the_census_profiles(census6):
+    # the Kruskal-Katona walk and the downset census check each other
+    total = 0
+    for n in range(1, 7):
+        profiles = realizable_profiles(n)
+        assert sorted(profiles) == sorted(census6 if n == 6 else alpha_census(n)), n
+        total += len(profiles)
+    assert total == 681
+
+
 def test_exact_prefix_scan_finds_exactly_the_n9_failures():
     # every realizable prefix at every level 1 <= Q < n, for every a_1: none
     # fails below n = 9, and at n = 9 exactly the 12 pinned ones do
