@@ -596,10 +596,13 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
     ``max_witnesses`` of them, and random mode stops after the task of samples
     that reaches that count (the scanned count stays deterministic: whole
     tasks only).  Every witness re-verifies through a fresh full evaluation
-    before being reported.
+    before being reported.  A ``max_witnesses`` below 1 is refused before
+    the scan: with no witness to find, it could only end in a false verdict.
     """
     if predicate not in CHECK_ORDER:
         raise ValueError(f"unknown predicate {predicate!r}")
+    if max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
     start = time.monotonic()
     scanned, witnesses = 0, []
     with closing(_scan(plan, (predicate,), max_witnesses)) as parts:

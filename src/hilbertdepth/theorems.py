@@ -34,11 +34,13 @@ one record: a Profile and every predicate's verdict on it, in CHECK_ORDER.
 over each side's beta rows); ``evaluate_profile`` is the allocation-light
 path of the corpus harness: a Profile is a function of alpha(S/I) alone
 (principality included, via the profile of alpha(I)), so runs are aggregated
-per distinct alpha vector.  ``witness_from_ideal`` re-evaluates one check on
-one ideal through the report path and returns its witness dict when it fails.
+per distinct alpha vector.  Both call ``_verdicts``, the one place that runs
+PREDICATES.  ``witness_from_ideal`` reads one check's verdict off
+``run_checks``' record for one ideal and returns its witness dict when it fails.
 
 ``reproduce_bound_tables`` regenerates the auxiliary difference tables
 x -> C(x,k) - c*C(x,k-1) that the level-6/level-7 bound derivations tabulate,
+and the a_2 window of the q = 7 analysis (min(a_3) read off ``beta_values``),
 and diffs them cell by cell against the published rows.
 """
 
@@ -51,7 +53,8 @@ from .combinatorics import (binom, binom_diff, complement_counts, kk_upper_bound
                             macaulay_rep)
 # hdepth is not called here; perfbench/selftest.py pins the theorems.hdepth
 # binding that the benchmark's tracer rebinds, so the import stays
-from .depth import HdepthReport, hdepth, hdepth_pair, hdepth_report, ring_beta_row  # noqa: F401
+from .depth import (HdepthReport, beta_values, hdepth, hdepth_pair,  # noqa: F401
+                    hdepth_report, ring_beta_row)
 from .ideals import Ideal
 
 
@@ -151,11 +154,6 @@ def _principal_profiles(n: int) -> frozenset:
 
 # --- checkers over full reports ----------------------------------------------
 
-def _report_profile(report: HdepthReport) -> Profile:
-    return Profile(report.n, report.hdepth_quotient, report.hdepth_ideal, report.principal,
-                   report.in_m2, report.beta_quotient_at_q)
-
-
 def _witness(report: HdepthReport, name: str, violated: str) -> dict:
     return {
         "check": name,
@@ -175,7 +173,8 @@ def _witness(report: HdepthReport, name: str, violated: str) -> dict:
 def run_checks(report: HdepthReport) -> tuple[Profile, tuple[str | None, ...]]:
     """The report's Profile and every predicate's verdict on it, in
     CHECK_ORDER: the record ``evaluate_profile`` returns."""
-    profile = _report_profile(report)
+    profile = Profile(report.n, report.hdepth_quotient, report.hdepth_ideal, report.principal,
+                      report.in_m2, report.beta_quotient_at_q)
     return profile, _verdicts(profile)
 
 
@@ -183,7 +182,7 @@ def witness_from_ideal(I: Ideal, name: str) -> dict | None:
     """Fresh full evaluation of one check on one ideal; the failing witness
     dict, or None if the check passes (or does not apply)."""
     report = hdepth_report(I)
-    verdict = PREDICATES[name](_report_profile(report))
+    verdict = run_checks(report)[1][CHECK_ORDER.index(name)]
     return _witness(report, name, verdict) if verdict else None
 
 
@@ -280,8 +279,9 @@ BOUND_TABLES = (
 
 # Companion table in the q = 7, k = 5 analysis: for each value of a_2 (with
 # a_0 = 1, a_1 = 9 at n = 9 and q = 7), the forced window of a_3 and the
-# resulting cap on 6*a_3 - 10*a_2.  min(a_3) comes from b_3^7 >= 0, i.e.
-# a_3 >= 5*a_2 - 100; max(a_3) is the Kruskal-Katona upper shadow bound.
+# resulting cap on 6*a_3 - 10*a_2.  min(a_3) comes from b_3^7 >= 0: b_3^7 =
+# a_3 - 5*a_2 + 100, so min(a_3) = 5*a_2 - 100, which is -b_3^7 at a_3 = 0;
+# max(a_3) is the Kruskal-Katona upper shadow bound.
 ALPHA2_WINDOW_TABLE = (
     ("alpha2", (33, 34, 35, 36)),
     ("min_alpha3", (65, 70, 75, 80)),
@@ -292,7 +292,7 @@ ALPHA2_WINDOW_TABLE = (
 
 def _alpha2_window_computed() -> dict[str, tuple[int, ...]]:
     alpha2 = ALPHA2_WINDOW_TABLE[0][1]
-    min_a3 = tuple(5 * a2 - 100 for a2 in alpha2)
+    min_a3 = tuple(-beta_values((1, 9, a2, 0, 0, 0, 0, 0), 7)[3] for a2 in alpha2)
     max_a3 = tuple(kk_upper_bound(macaulay_rep(a2, 2)) for a2 in alpha2)
     cap = tuple(6 * m - 10 * a2 for m, a2 in zip(max_a3, alpha2))
     return {"alpha2": alpha2, "min_alpha3": min_a3,

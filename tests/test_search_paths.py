@@ -10,7 +10,8 @@ import pytest
 
 from hilbertdepth import corpus
 from hilbertdepth.corpus import (EnumerationPlan, PROPER_IDEAL_COUNTS, random_gen_masks,
-                                 random_ideal, sample_rng, search_counterexample)
+                                 random_ideal, sample_rng, search_counterexample,
+                                 search_n_range)
 from hilbertdepth.ideals import alpha_of_quotient, minimalize
 from hilbertdepth.theorems import CHECK_ORDER, Profile
 
@@ -204,3 +205,44 @@ def test_witness_that_does_not_reverify_raises(monkeypatch, plan):
     with pytest.raises(RuntimeError, match=rf"main fails on the profile of n = {plan.n}, "
                                            r"alpha = \(1, "):
         search_counterexample(plan, "main", max_witnesses=5)
+
+
+def test_max_witnesses_below_one_is_refused_before_any_scan(monkeypatch):
+    # every profile fails, so a search that asks for no witness could only end
+    # in a false none-exhaustive verdict over a corpus it failed throughout
+    evaluated = []
+    failing = _always_failing("main")
+
+    def counting_evaluate(alpha_sf):
+        evaluated.append(alpha_sf)
+        return failing(alpha_sf)
+
+    monkeypatch.setattr(corpus, "evaluate_profile", counting_evaluate)
+    monkeypatch.setattr(corpus, "witness_from_ideal", _stub_witness)
+
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="max_witnesses"):
+            search_counterexample(EnumerationPlan(n=4, mode="exhaustive"), "main",
+                                  max_witnesses=budget)
+        for mode, samples, seed in (("exhaustive", 0, None), ("random", 4000, 4)):
+            with pytest.raises(ValueError, match="max_witnesses"):
+                search_n_range("main", range(3, 5), mode, samples, seed, 1, budget)
+    assert evaluated == []
+
+
+def test_search_n_range_carries_the_witness_budget_across_n(monkeypatch):
+    # every profile fails: n = 3 gives all 8 of its profiles as witnesses,
+    # n = 4 the remaining 2 of the 10, and n = 5 is never scanned; the
+    # combined report still lists every requested n
+    monkeypatch.setattr(corpus, "evaluate_profile", _always_failing("main"))
+    monkeypatch.setattr(corpus, "witness_from_ideal", _stub_witness)
+
+    combined, per_n = search_n_range("main", range(3, 6), "exhaustive", 0, None, 1, 10)
+    assert [r.n_values for r in per_n] == [(3,), (4,)]
+    assert [len(r.witnesses) for r in per_n] == [8, 2]
+    assert [r.instances_scanned for r in per_n] == [PROPER_IDEAL_COUNTS[3],
+                                                    PROPER_IDEAL_COUNTS[4]] == [18, 166]
+    assert [w["n"] for w in combined.witnesses] == [3] * 8 + [4] * 2
+    assert combined.n_values == (3, 4, 5)
+    assert combined.instances_scanned == 184
+    assert combined.status == "witnesses-found"

@@ -1,6 +1,7 @@
 """Checkers, the fast profile evaluator, and the published bound tables."""
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -173,6 +174,50 @@ def test_exact_prefix_scan_finds_exactly_the_n9_failures():
     for n in range(1, 9):
         assert failing_prefixes(n) == [], n
     assert failing_prefixes(9) == N9_FAILING_ALPHAS
+
+
+def test_exact_prefix_scan_at_n10_fails_only_beta47():
+    # every failing n = 10 prefix has a_1 = 10 (I inside m^2) and sits at
+    # q = 7 or 8, so main's gate (q <= 6 or n <= 9) excludes all of them;
+    # 510 fail the beta47 search target on its cell k = 4
+    prefixes = failing_prefixes(10)
+    assert len(prefixes) == 3884
+    assert {alpha[1] for alpha in prefixes} == {10}
+    records = [evaluate_profile(alpha) for alpha in prefixes]
+    depths = Counter((profile.q, profile.h_ideal) for profile, _ in records)
+    assert depths == {(7, 6): 3861, (8, 7): 23}
+    assert all(profile.in_m2 for profile, _ in records)
+    verdicts = [dict(zip(CHECK_ORDER, v)) for _, v in records]
+    assert all(v["main"] is None for v in verdicts)
+    assert {name for v in verdicts for name, verdict in v.items() if verdict} == {"beta47-bound"}
+    beta47 = [alpha for alpha, v in zip(prefixes, verdicts) if v["beta47-bound"]]
+    assert len(beta47) == 510
+    assert beta47[0] == (1, 10, 45, 112, 182, 195, 120, 31, 0, 0, 0)
+    witness = witness_from_ideal(compressed_complex_ideal(beta47[0]), "beta47-bound")
+    assert witness["violated"] == "b_4^7 = 19 > 15"
+    assert witness["alpha_quotient"] == list(beta47[0])
+    assert (witness["hdepth_quotient"], witness["hdepth_ideal"]) == (7, 6)
+
+
+def test_witness_reads_its_verdict_off_run_checks():
+    # on every ideal for n <= 4 and the 12 failing n = 9 complexes, each
+    # check's witness is None exactly when run_checks' verdict is falsy, and
+    # otherwise carries that verdict
+    ideals = [ideal for n in range(1, 5) for ideal in enumerate_ideals(n)]
+    ideals += [compressed_complex_ideal(alpha) for alpha in N9_FAILING_ALPHAS]
+    failed = Counter()
+    for ideal in ideals:
+        verdicts = run_checks(hdepth_report(ideal))[1]
+        for name, verdict in zip(CHECK_ORDER, verdicts):
+            witness = witness_from_ideal(ideal, name)
+            if not verdict:
+                assert witness is None, (ideal, name)
+            else:
+                assert witness["check"] == name and witness["violated"] == verdict
+                failed[name] += 1
+    assert failed == {"main": 12, "q6-bounds": 10, "lemma79": 2}
+    with pytest.raises(ValueError):
+        witness_from_ideal(ideals[0], "no-such-check")
 
 
 def test_profile_reads_n_off_the_alpha_vector():
