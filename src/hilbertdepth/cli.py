@@ -113,30 +113,32 @@ def _witness_json(w: dict) -> dict:
 # --- compute -----------------------------------------------------------------
 
 def _report_json(report: HdepthReport) -> dict:
+    p = report.profile
     return {
-        "n": report.n,
+        "n": p.n,
         "ideal": str(report.ideal),
         "generators": [monomial_str(g) for g in report.ideal.gens],
         "alpha_quotient": _strs(report.alpha_quotient),
         "alpha_ideal": _strs(report.alpha_ideal),
-        "hdepth_quotient": report.hdepth_quotient,
-        "hdepth_ideal": report.hdepth_ideal,
-        "principal": report.principal,
-        "in_m2": report.in_m2,
+        "hdepth_quotient": p.q,
+        "hdepth_ideal": p.h_ideal,
+        "principal": p.principal,
+        "in_m2": p.in_m2,
         "beta_triangle_quotient": [_strs(row) for row in report.beta_triangle_quotient],
         "beta_triangle_ideal": [_strs(row) for row in report.beta_triangle_ideal],
     }
 
 
 def _report_text(report: HdepthReport) -> str:
+    p = report.profile
     lines = [
-        f"ideal: {report.ideal}  (n = {report.n})",
+        f"ideal: {report.ideal}  (n = {p.n})",
         f"alpha(S/I) = {list(report.alpha_quotient)}",
         f"alpha(I)   = {list(report.alpha_ideal)}",
-        f"hdepth(S/I) = {report.hdepth_quotient}",
-        f"hdepth(I)   = {report.hdepth_ideal}",
-        f"principal: {'yes' if report.principal else 'no'}"
-        f"   contained in m^2: {'yes' if report.in_m2 else 'no'}",
+        f"hdepth(S/I) = {p.q}",
+        f"hdepth(I)   = {p.h_ideal}",
+        f"principal: {'yes' if p.principal else 'no'}"
+        f"   contained in m^2: {'yes' if p.in_m2 else 'no'}",
     ]
     for side, triangle in (("S/I", report.beta_triangle_quotient),
                            ("I", report.beta_triangle_ideal)):
@@ -152,15 +154,15 @@ def _csv_header(nmax: int) -> list[str]:
 
 def _csv_row(report: HdepthReport, nmax: int) -> list:
     """One ideal's row under _csv_header(nmax); alpha cells past n are blank."""
-    return ([report.n, str(report.ideal)] + list(report.alpha_quotient)
-            + [""] * (nmax - report.n)
-            + [report.hdepth_quotient, report.hdepth_ideal,
-               int(report.principal), int(report.in_m2)])
+    p = report.profile
+    return ([p.n, str(report.ideal)] + list(report.alpha_quotient) + [""] * (nmax - p.n)
+            + [p.q, p.h_ideal, int(p.principal), int(p.in_m2)])
 
 
 def _report_csv(report: HdepthReport) -> str:
     buf = io.StringIO()
-    csv.writer(buf).writerows([_csv_header(report.n), _csv_row(report, report.n)])
+    n = report.profile.n
+    csv.writer(buf).writerows([_csv_header(n), _csv_row(report, n)])
     return buf.getvalue()
 
 

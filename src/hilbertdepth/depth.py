@@ -13,8 +13,9 @@ inverts exactly:
     a_k = sum_{j=0}^{k} C(q-j, k-j) * b_j,   k = 0..q.
 
 All arithmetic is exact.  ``hdepth_report`` bundles both sides (S/I and I)
-for a proper nonzero ideal: one walk per side, up to its first negative row,
-reads its depth (and b^q on S/I); the full beta triangles are derived on read.
+for a proper nonzero ideal with its ``Profile``, the record every check
+reads: one walk per side, up to its first negative row, reads its depth (and
+b^q on S/I); the full beta triangles are derived on read.
 ``hdepth_pair`` is the fast path of the corpus harness: both depths and the
 row at q from one walk over packed rows.  ``ring_beta_row`` is the row of S
 itself, which that walk and every inequality the checks state read.
@@ -170,26 +171,35 @@ def hdepth_pair(counts) -> tuple[int, int, tuple[int, ...]]:
     return q, h, tuple(top >> w * k & field for k in range(q + 1))
 
 
+class Profile(NamedTuple):
+    """What every predicate of ``theorems`` reads: n, both depths
+    (q = hdepth(S/I)), the standing reductions, and the beta row of S/I at q."""
+
+    n: int
+    q: int
+    h_ideal: int
+    principal: bool
+    in_m2: bool
+    beta_q: tuple[int, ...]
+
+
 class HdepthReport(NamedTuple):
-    """Everything the checkers need about one proper nonzero ideal."""
+    """One proper nonzero ideal, both alpha vectors, and the Profile read off
+    their walks; the beta triangles are derived on read."""
 
     ideal: Ideal
     alpha_quotient: tuple[int, ...]
     alpha_ideal: tuple[int, ...]
-    hdepth_quotient: int
-    hdepth_ideal: int
-    beta_quotient_at_q: tuple[int, ...]
+    profile: Profile
 
-    n = property(lambda self: self.ideal.n)
-    principal = property(lambda self: self.ideal.is_principal)
-    in_m2 = property(lambda self: self.ideal.in_m2)
     beta_triangle_quotient = property(lambda self: beta_triangle(self.alpha_quotient))
     beta_triangle_ideal = property(lambda self: beta_triangle(self.alpha_ideal))
 
 
 def hdepth_report(I: Ideal) -> HdepthReport:
-    """Compute both alpha vectors, both Hilbert depths and b^q(S/I), each side
-    walked from its own alpha vector (independent of ``hdepth_pair``).
+    """Compute both alpha vectors and the Profile: both Hilbert depths and
+    b^q(S/I), each side walked from its own alpha vector (independent of
+    ``hdepth_pair``), and the reductions read off the generators.
 
     Requires 0 != I != S; raises DomainError naming the offending side.
     """
@@ -200,11 +210,5 @@ def hdepth_report(I: Ideal) -> HdepthReport:
     a_q = alpha_of_quotient(I)
     a_i = alpha_of_ideal(I)
     q, beta_q = _depth(beta_rows(a_q))
-    return HdepthReport(
-        ideal=I,
-        alpha_quotient=a_q,
-        alpha_ideal=a_i,
-        hdepth_quotient=q,
-        hdepth_ideal=_depth(beta_rows(a_i))[0],
-        beta_quotient_at_q=beta_q,
-    )
+    profile = Profile(I.n, q, _depth(beta_rows(a_i))[0], I.is_principal, I.in_m2, beta_q)
+    return HdepthReport(I, a_q, a_i, profile)

@@ -1,6 +1,6 @@
 """Executable checkers for the Hilbert-depth comparison results.
 
-Each named result is one predicate over a ``Profile``.  It returns None when
+Each named result is one predicate over a ``depth.Profile``.  It returns None when
 its preconditions do not hold, "" when it passes, and the violated
 inequality when it fails.  With q = hdepth(S/I), the identity
 b_k^q(I) = b_k^q(S) - b_k^q(S/I) (``depth.hdepth_pair``) makes every bound
@@ -30,13 +30,15 @@ content of its own.
 
 A verdict has that one encoding everywhere, and both evaluation paths return
 one record: a Profile and every predicate's verdict on it, in CHECK_ORDER.
-``run_checks`` reads the Profile off an HdepthReport (its independent walk
-over each side's beta rows); ``evaluate_profile`` is the allocation-light
-path of the corpus harness: a Profile is a function of alpha(S/I) alone
-(principality included, via the profile of alpha(I)), so runs are aggregated
-per distinct alpha vector.  Both call ``_verdicts``, the one place that runs
-PREDICATES.  ``witness_from_ideal`` reads one check's verdict off
-``run_checks``' record for one ideal and returns its witness dict when it fails.
+Only two functions build a Profile.  ``depth.hdepth_report`` builds one per
+ideal, from its independent walk over each side's beta rows and from the
+generators, and ``run_checks`` takes the one its HdepthReport holds.
+``evaluate_profile`` is the allocation-light path of the corpus harness: a
+Profile is a function of alpha(S/I) alone (principality included, via the
+profile of alpha(I)), so runs are aggregated per distinct alpha vector.
+Both call ``_verdicts``, the one place that runs PREDICATES.
+``witness_from_ideal`` reads one check's verdict off ``run_checks``' record
+for one ideal and returns its witness dict when it fails.
 
 ``reproduce_bound_tables`` regenerates the auxiliary difference tables
 x -> C(x,k) - c*C(x,k-1) that the level-6/level-7 bound derivations tabulate,
@@ -53,21 +55,9 @@ from .combinatorics import (binom, binom_diff, complement_counts, kk_upper_bound
                             macaulay_rep)
 # hdepth is not called here; perfbench/selftest.py pins the theorems.hdepth
 # binding that the benchmark's tracer rebinds, so the import stays
-from .depth import (HdepthReport, beta_values, hdepth, hdepth_pair,  # noqa: F401
-                    hdepth_report, ring_beta_row)
+from .depth import (HdepthReport, Profile, beta_values, hdepth,  # noqa: F401
+                    hdepth_pair, hdepth_report, ring_beta_row)
 from .ideals import Ideal
-
-
-class Profile(NamedTuple):
-    """What every predicate reads: n, both depths (q = hdepth(S/I)), the
-    standing reductions, and the beta table of S/I at q."""
-
-    n: int
-    q: int
-    h_ideal: int
-    principal: bool
-    in_m2: bool
-    beta_q: tuple[int, ...]
 
 
 # --- the predicates ------------------------------------------------------------
@@ -155,27 +145,26 @@ def _principal_profiles(n: int) -> frozenset:
 # --- checkers over full reports ----------------------------------------------
 
 def _witness(report: HdepthReport, name: str, violated: str) -> dict:
+    p = report.profile
     return {
         "check": name,
-        "n": report.n,
+        "n": p.n,
         "ideal": str(report.ideal),
         "violated": violated,
         "alpha_quotient": list(report.alpha_quotient),
         "alpha_ideal": list(report.alpha_ideal),
-        "hdepth_quotient": report.hdepth_quotient,
-        "hdepth_ideal": report.hdepth_ideal,
-        "beta_quotient_at_q": list(report.beta_quotient_at_q),
-        "principal": report.principal,
-        "in_m2": report.in_m2,
+        "hdepth_quotient": p.q,
+        "hdepth_ideal": p.h_ideal,
+        "beta_quotient_at_q": list(p.beta_q),
+        "principal": p.principal,
+        "in_m2": p.in_m2,
     }
 
 
 def run_checks(report: HdepthReport) -> tuple[Profile, tuple[str | None, ...]]:
     """The report's Profile and every predicate's verdict on it, in
     CHECK_ORDER: the record ``evaluate_profile`` returns."""
-    profile = Profile(report.n, report.hdepth_quotient, report.hdepth_ideal, report.principal,
-                      report.in_m2, report.beta_quotient_at_q)
-    return profile, _verdicts(profile)
+    return report.profile, _verdicts(report.profile)
 
 
 def witness_from_ideal(I: Ideal, name: str) -> dict | None:

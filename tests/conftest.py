@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -57,10 +58,10 @@ N9_FAILING_ALPHAS = ([(1, 9, 36, 82, 105, 91, a6, 0, 0, 0) for a6 in range(40, 5
                      + [(1, 9, 36, 84, 123, 111, 64, a7, 0, 0) for a7 in (20, 21)])
 
 
-def _kk_upper(prefix, n):
-    """The largest a_d that Kruskal-Katona allows after (a_0, ..., a_{d-1})."""
-    d = len(prefix)
-    return min(binom(n, d), n if d == 1 else kk_upper_bound(macaulay_rep(prefix[-1], d - 1)))
+@lru_cache(maxsize=None)
+def _kk_upper(n, d, prev):
+    """The largest a_d that Kruskal-Katona allows after a_{d-1} = prev."""
+    return min(binom(n, d), n if d == 1 else kk_upper_bound(macaulay_rep(prev, d - 1)))
 
 
 def realizable_profiles(n):
@@ -70,40 +71,46 @@ def realizable_profiles(n):
         if len(prefix) > n:
             yield prefix
             return
-        for a in range(_kk_upper(prefix, n) + 1):
+        for a in range(_kk_upper(n, len(prefix), prefix[-1]) + 1):
             yield from walk(prefix + (a,))
     return [alpha for alpha in walk((1,)) if alpha != binom_row(n)]
 
 
-def failing_prefixes(n):
-    """Every realizable prefix (a_0, ..., a_Q), 1 <= Q < n, zero-padded, whose
-    beta row b^Q(S/I) is nonnegative and exceeds the cap C(n-Q+k-1, k) = b_k^Q(S)
-    in some cell k: hdepth(S/I) >= Q > hdepth(I), since b^Q(I) = b^Q(S) - b^Q(S/I).
+def failing_prefixes(n, levels=None):
+    """Every realizable prefix (a_0, ..., a_Q), Q in ``levels`` (default
+    1 <= Q < n), zero-padded, whose beta row b^Q(S/I) is nonnegative and
+    exceeds the cap C(n-Q+k-1, k) = b_k^Q(S) in some cell k:
+    hdepth(S/I) >= Q > hdepth(I), since b^Q(I) = b^Q(S) - b^Q(S/I).
 
     Zeroing the levels above Q keeps a complex, and the padded vector has the
     same b^Q, so these are the failures of hdepth(I) >= hdepth(S/I) at level Q.
     With rest_k = sum_{j<k} (-1)^(k-j) C(Q-j, k-j) a_j, b_k^Q = a_k + rest_k, so
-    the walk takes a_k from max(0, -rest_k) and never meets a negative cell.
+    the walk takes a_k from max(0, -rest_k) and never meets a negative cell;
+    each node adds its a_j's terms to the vector (rest_{j+1}, ..., rest_Q).
     b_Q^Q grows with a_Q, so the failing a_Q of a level-(Q-1) node are one
     interval: all of them once a lower cell is over its cap, else those above
     cap_Q - rest_Q.  Listed by Q, then in ascending walk order.
     """
     found = []
-    for Q in range(1, n):
+    for Q in range(1, n) if levels is None else levels:
         cap = [comb(n - Q + k - 1, k) for k in range(Q + 1)]
+        # a_j's coefficients (-1)^(k-j) C(Q-j, k-j) in rest_k, for k = j+1..Q
+        terms = [[(-1) ** (k - j) * comb(Q - j, k - j) for k in range(j + 1, Q + 1)]
+                 for j in range(Q + 1)]
 
-        def walk(prefix, over):
+        def walk(prefix, rest, over):
+            # rest = (rest_k, ..., rest_Q), k the level of the next entry
             k = len(prefix)
-            rest = sum((-1) ** (k - j) * comb(Q - j, k - j) * a for j, a in enumerate(prefix))
-            lo, hi = max(0, -rest), _kk_upper(prefix, n)
+            lo, hi = max(0, -rest[0]), _kk_upper(n, k, prefix[-1])
             if k == Q:
-                first = lo if over else max(lo, cap[Q] - rest + 1)
+                first = lo if over else max(lo, cap[Q] - rest[0] + 1)
                 found.extend(prefix + (a,) + (0,) * (n - Q) for a in range(first, hi + 1))
                 return
             for a in range(lo, hi + 1):
-                walk(prefix + (a,), over or a + rest > cap[k])
+                walk(prefix + (a,), [r + t * a for r, t in zip(rest[1:], terms[k])],
+                     over or a + rest[0] > cap[k])
 
-        walk((1,), False)
+        walk((1,), terms[0], False)
     return found
 
 

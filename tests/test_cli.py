@@ -403,7 +403,7 @@ def test_verify_csv_rows(capsys):
     # every ideal row re-parses and re-verifies
     for row in rows[1:]:
         report = hdepth_report(parse_ideal(row[1], 3))
-        assert report.hdepth_quotient == int(row[header.index("hdepth_quotient")])
+        assert report.profile.q == int(row[header.index("hdepth_quotient")])
 
 
 def test_verify_csv_failing_rows(capsys, monkeypatch):

@@ -73,8 +73,8 @@ def test_hdepth_examples():
         # principal ideal generated in top degree: quotient depth n-1
         I = parse_ideal("*".join(f"x{i}" for i in range(1, n + 1)), n)
         r = hdepth_report(I)
-        assert r.hdepth_quotient == n - 1
-        assert r.hdepth_ideal == n
+        assert r.profile.q == n - 1
+        assert r.profile.h_ideal == n
 
 
 def test_hdepth_scan_is_max():
@@ -159,7 +159,7 @@ def test_cone_lemma_raises_both_depths_by_one(census6):
             assert hdepth_pair(cone)[:2] == (q + 1, h + 1)
             report = hdepth_report(Ideal(n + 1, compressed_complex_ideal(a).gens))
             assert report.alpha_quotient == cone
-            assert (report.hdepth_quotient, report.hdepth_ideal) == (q + 1, h + 1)
+            assert (report.profile.q, report.profile.h_ideal) == (q + 1, h + 1)
 
 
 @st.composite
@@ -197,13 +197,13 @@ def test_hdepth_zero_module_errors():
 
 def test_hdepth_report_examples():
     r = hdepth_report(parse_ideal("x1*x2*x3", 3))
-    assert (r.hdepth_quotient, r.hdepth_ideal, r.principal) == (2, 3, True)
+    assert (r.profile.q, r.profile.h_ideal, r.profile.principal) == (2, 3, True)
     r = hdepth_report(parse_ideal("x1*x2", 2))
-    assert (r.hdepth_quotient, r.hdepth_ideal) == (1, 2)
+    assert (r.profile.q, r.profile.h_ideal) == (1, 2)
     assert r.beta_triangle_quotient[2] == (1, 0, -1)
     r = hdepth_report(parse_ideal("x1, x2, x3", 3))
-    assert (r.hdepth_quotient, r.hdepth_ideal) == (0, 2)
-    assert r.in_m2 is False
+    assert (r.profile.q, r.profile.h_ideal) == (0, 2)
+    assert r.profile.in_m2 is False
 
 
 def test_hdepth_report_rejects_trivial_ideals():
@@ -217,8 +217,8 @@ def test_hdepth_report_bounds_exhaustive():
     for n in range(1, 5):
         for I in enumerate_ideals(n):
             r = hdepth_report(I)
-            assert 0 <= r.hdepth_quotient <= n - 1
-            assert 1 <= r.hdepth_ideal <= n
+            assert 0 <= r.profile.q <= n - 1
+            assert 1 <= r.profile.h_ideal <= n
 
 
 def test_hdepth_report_depths_match_hdepth_and_pair():
@@ -228,9 +228,9 @@ def test_hdepth_report_depths_match_hdepth_and_pair():
     for I in ideals:
         r = hdepth_report(I)
         a_q, a_i = tuple(r.alpha_quotient), tuple(r.alpha_ideal)
-        depths = (r.hdepth_quotient, r.hdepth_ideal)
+        depths = (r.profile.q, r.profile.h_ideal)
         assert depths == (hdepth(a_q), hdepth(a_i)) == hdepth_pair(a_q)[:2]
-        assert r.beta_quotient_at_q == hdepth_pair(a_q)[2]
+        assert r.profile.beta_q == hdepth_pair(a_q)[2]
 
 
 def test_principal_equivalences_exhaustive():
@@ -239,8 +239,8 @@ def test_principal_equivalences_exhaustive():
     for n in range(1, 6):
         for I in enumerate_ideals(n):
             r = hdepth_report(I)
-            assert r.principal == (r.hdepth_ideal == n) == (r.hdepth_quotient == n - 1)
-            assert principal_alpha_profile(n, tuple(r.alpha_ideal)) == r.principal
+            assert r.profile.principal == (r.profile.h_ideal == n) == (r.profile.q == n - 1)
+            assert principal_alpha_profile(n, tuple(r.alpha_ideal)) == r.profile.principal
 
 
 def test_beta_triangle_in_report():
@@ -255,10 +255,12 @@ def test_beta_triangle_in_report():
                 assert row == beta_values(tuple(r.alpha_quotient), d)
             assert r.beta_triangle_quotient == beta_triangle(r.alpha_quotient)
             assert r.beta_triangle_ideal == beta_triangle(r.alpha_ideal)
-            assert r.beta_triangle_quotient[r.hdepth_quotient] == r.beta_quotient_at_q
+            assert r.beta_triangle_quotient[r.profile.q] == r.profile.beta_q
 
 
 def test_report_is_frozen():
     r = hdepth_report(parse_ideal("x1*x2", 2))
     with pytest.raises(AttributeError):
-        r.hdepth_quotient = 5
+        r.profile = None
+    with pytest.raises(AttributeError):
+        r.profile.q = 5

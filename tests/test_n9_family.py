@@ -56,7 +56,7 @@ def test_family_member_fails_main(a6):
     alpha = alpha_of_quotient(ideal)
     assert alpha == (1, 9, 36, 82, 105, 91, a6, 0, 0, 0)
     report = hdepth_report(ideal)
-    assert (report.hdepth_quotient, report.hdepth_ideal) == (6, 5)
+    assert (report.profile.q, report.profile.h_ideal) == (6, 5)
     assert hdepth_pair(alpha)[:2] == (6, 5)
     witness = witness_from_ideal(ideal, "main")
     assert witness["violated"] == "hdepth(I) = 5 < hdepth(S/I) = 6"

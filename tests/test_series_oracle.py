@@ -60,7 +60,7 @@ def _agrees(ideal):
     alpha = report.alpha_quotient
     pair = _oracle_pair(alpha)
     assert hdepth_pair(alpha)[:2] == pair, (ideal, alpha)
-    assert (report.hdepth_quotient, report.hdepth_ideal) == pair, (ideal, alpha)
+    assert (report.profile.q, report.profile.h_ideal) == pair, (ideal, alpha)
     return alpha, pair
 
 

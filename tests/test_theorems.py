@@ -1,14 +1,18 @@
 """Checkers, the fast profile evaluator, and the published bound tables."""
 
+import ast
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from hilbertdepth import depth
 from hilbertdepth.combinatorics import binom, binom_diff, binom_row, complement_counts
 from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumerate_ideals,
                                  random_ideal, sample_rng)
-from hilbertdepth.depth import beta_values, hdepth_pair, hdepth_report, ring_beta_row
+from hilbertdepth.depth import (HdepthReport, beta_values, hdepth_pair, hdepth_report,
+                               ring_beta_row)
 from hilbertdepth.errors import DomainError
 from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
 from hilbertdepth.theorems import (CHECK_ORDER, PREDICATES, VERIFY_CHECKS, Profile,
@@ -79,7 +83,7 @@ def test_lemma79_gating_and_constructed_instance():
     ideal = compressed_complex_ideal(alpha)
     assert tuple(alpha_of_quotient(ideal)) == alpha
     r = hdepth_report(ideal)
-    assert r.hdepth_quotient == 7
+    assert r.profile.q == 7
     assert r.beta_triangle_quotient[7] == (1, 2, 0, 0, 0, 0, 0, 0)
     assert _verdict(r, "lemma79") == ""
 
@@ -90,7 +94,7 @@ def test_lemma79_gating_and_constructed_instance():
 
 def test_witness_structure_on_forced_failure():
     r = hdepth_report(parse_ideal("x1*x2, x2*x3", 3))
-    broken = r._replace(hdepth_ideal=0)
+    broken = r._replace(profile=r.profile._replace(h_ideal=0))
     verdict = _verdict(broken, "main")
     assert verdict
     w = _witness(broken, "main", verdict)
@@ -199,6 +203,33 @@ def test_exact_prefix_scan_at_n10_fails_only_beta47():
     assert (witness["hdepth_quotient"], witness["hdepth_ideal"]) == (7, 6)
 
 
+def test_exact_prefix_scan_at_n11_no_prefix_fails_up_to_q6():
+    # the q <= 6 half of main at n = 11: no realizable prefix at any level
+    # 1 <= Q <= 6, over every a_1, has hdepth(S/I) >= Q > hdepth(I)
+    assert failing_prefixes(11, range(1, 7)) == []
+
+
+# one beta47-bound witness prefix (a_0, ..., a_7) per n, the cell k = 4 it
+# violates, and its cap C(n-4, 4)
+BETA47_WITNESS_PREFIXES = {
+    11: ((1, 11, 55, 148, 266, 322, 266, 148), "b_4^7 = 39 > 35"),
+    12: ((1, 12, 66, 187, 365, 497, 483, 337), "b_4^7 = 72 > 70"),
+    13: ((1, 13, 78, 235, 515, 807, 930, 793), "b_4^7 = 130 > 126"),
+    14: ((1, 14, 91, 293, 719, 1288, 1716, 1716), "b_4^7 = 212 > 210"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(BETA47_WITNESS_PREFIXES))
+def test_beta47_witness_prefix_realizes_and_reverifies(n):
+    prefix, violated = BETA47_WITNESS_PREFIXES[n]
+    alpha = prefix + (0,) * (n + 1 - len(prefix))
+    witness = witness_from_ideal(compressed_complex_ideal(alpha), "beta47-bound")
+    assert witness["violated"] == violated
+    assert (witness["hdepth_quotient"], witness["hdepth_ideal"]) == (7, 6)
+    assert witness["in_m2"] and not witness["principal"]
+    assert witness["n"] == n and witness["alpha_quotient"] == list(alpha)
+
+
 def test_witness_reads_its_verdict_off_run_checks():
     # on every ideal for n <= 4 and the 12 failing n = 9 complexes, each
     # check's witness is None exactly when run_checks' verdict is falsy, and
@@ -218,6 +249,28 @@ def test_witness_reads_its_verdict_off_run_checks():
     assert failed == {"main": 12, "q6-bounds": 10, "lemma79": 2}
     with pytest.raises(ValueError):
         witness_from_ideal(ideals[0], "no-such-check")
+
+
+def test_report_holds_the_profile_run_checks_returns():
+    # one depth record on both paths: a report is its ideal, both alpha
+    # vectors and the Profile its walks read, run_checks returns that very
+    # Profile, and only hdepth_report and evaluate_profile build one
+    assert HdepthReport._fields == ("ideal", "alpha_quotient", "alpha_ideal", "profile")
+    for ideal in [ideal for n in range(1, 4) for ideal in enumerate_ideals(n)]:
+        r = hdepth_report(ideal)
+        assert run_checks(r)[0] is r.profile
+        assert type(r.profile) is Profile is depth.Profile
+    defined, builders = set(), set()
+    for path in Path(depth.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "Profile":
+                defined.add(path.name)
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and "Profile" in ast.unparse(call.func).split(".")
+                    for call in ast.walk(node)):
+                builders.add((path.name, node.name))
+    assert defined == {"depth.py"}
+    assert builders == {("depth.py", "hdepth_report"), ("theorems.py", "evaluate_profile")}
 
 
 def test_profile_reads_n_off_the_alpha_vector():
