@@ -241,6 +241,17 @@ def _verify_csv(plans, out_path):
     return 1 if failures else 0
 
 
+def _request(args, default_mode: str):
+    """A verify or search request's plans, one per n, each checked before any
+    scan starts, and the corpus half of its JSON config."""
+    n_values = args.n_range or [args.n]
+    mode = args.mode or default_mode
+    plans = [EnumerationPlan(n, mode, args.samples or 0, args.seed, args.workers)
+             for n in n_values]
+    return plans, {"n_values": list(n_values), "mode": mode, "samples": args.samples,
+                   "seed": args.seed, "workers": args.workers}
+
+
 def _tables_conflicts(args) -> list[str]:
     """The flags that ``verify --tables`` would ignore: it scans no corpus and
     writes text or JSON only.  argparse already refuses ``-n`` and
@@ -264,12 +275,7 @@ def cmd_verify(args) -> int:
                         for d in diffs))
         return 0 if not diffs else 1
 
-    n_values = args.n_range or [args.n]
-    mode = args.mode or "exhaustive"
-    # every n is checked before any scan starts
-    plans = [EnumerationPlan(n=n, mode=mode, sample_count=args.samples or 0, seed=args.seed,
-                             workers=args.workers) for n in n_values]
-
+    plans, config = _request(args, "exhaustive")
     if args.format == "csv":
         if args.workers != 1:
             raise ValueError("--format csv runs in one process; --workers must be 1")
@@ -277,8 +283,6 @@ def cmd_verify(args) -> int:
 
     summaries = [run_verification(plan) for plan in plans]
     total_failures = sum(s.total_failures for s in summaries)
-    config = {"n_values": list(n_values), "mode": mode, "samples": args.samples,
-              "seed": args.seed, "workers": args.workers}
     results = {"summaries": [_summary_json(s, args.deterministic) for s in summaries],
                "total_failures": total_failures}
     text = "".join(_summary_text(s, args.deterministic) for s in summaries)
@@ -305,16 +309,12 @@ def _search_json(report: SearchReport, deterministic: bool) -> dict:
 
 
 def cmd_search(args) -> int:
-    n_values = args.n_range or [args.n]
-    mode = args.mode or "random"
-    combined, per_n = search_n_range(args.predicate, n_values, mode, args.samples or 0,
-                                     args.seed, args.workers, args.max_witnesses)
-    config = {"predicate": args.predicate, "n_values": list(n_values), "mode": mode,
-              "samples": args.samples, "seed": args.seed,
-              "workers": args.workers, "max_witnesses": args.max_witnesses}
+    plans, corpus_config = _request(args, "random")
+    combined, per_n = search_n_range(plans, args.predicate, args.max_witnesses)
+    config = {"predicate": args.predicate, **corpus_config, "max_witnesses": args.max_witnesses}
     results = _search_json(combined, args.deterministic)
     results["per_n"] = [_search_json(r, args.deterministic) for r in per_n]
-    lines = [f"search predicate={combined.predicate} mode={mode} "
+    lines = [f"search predicate={combined.predicate} mode={combined.mode} "
              f"n={list(combined.n_values)} scanned={combined.instances_scanned} "
              f"status={combined.status}"]
     lines += [f"  WITNESS n={w['n']} ideal=({w['ideal']}) {w['violated']}"

@@ -612,23 +612,23 @@ def search_counterexample(plan: EnumerationPlan, predicate: str,
     return SearchReport(predicate, (plan,), scanned, witnesses, time.monotonic() - start)
 
 
-def search_n_range(predicate: str, n_values, mode: str, sample_count: int,
-                   seed: int | None, workers: int,
+def search_n_range(plans, predicate: str,
                    max_witnesses: int) -> tuple[SearchReport, list[SearchReport]]:
-    """Search each n in turn: the combined report and the per-n reports.
+    """Search one request's plans (one per n, alike in all else) in turn: the
+    combined report, which holds the plans as passed, and the per-n reports.
 
-    Random mode splits ``sample_count`` evenly over the n values (the first
-    ones take the remainder; an n whose share is 0 is skipped).  The search
-    stops at the first n that brings the witness count to ``max_witnesses``.
-    The combined report holds every requested n's plan before the split.
+    An empty or mixed request is refused before any scan.  Random mode splits
+    the sample count evenly over the n values (the first ones take the
+    remainder; an n whose share is 0 is skipped).  The search stops at the
+    first n that brings the witness count to ``max_witnesses``.
     """
-    if not n_values:
+    plans = requested = tuple(plans)
+    if not plans:
         raise ValueError("search_n_range needs at least one n")
-    # every n is checked, as the request gives it, before the first scan
-    requested = tuple(EnumerationPlan(n, mode, sample_count, seed, workers) for n in n_values)
-    plans = requested
-    if mode == "random":
-        share, extra = divmod(sample_count, len(plans))
+    if len({plan[1:] for plan in plans}) > 1:  # every field but n
+        raise ValueError("the plans of one search may differ only in n")
+    if plans[0].mode == "random":
+        share, extra = divmod(plans[0].sample_count, len(plans))
         plans = [plan._replace(sample_count=share + (i < extra))
                  for i, plan in enumerate(plans) if share or i < extra]
     per_n: list[SearchReport] = []

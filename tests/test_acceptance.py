@@ -199,8 +199,9 @@ def test_criterion_10_macaulay_and_kk():
 
 def test_criterion_11_beta47_search():
     t0 = time.monotonic()
-    combined, reports = search_n_range("beta47-bound", SEARCH_N_RANGE, "random",
-                                       SEARCH_BUDGET, SEARCH_SEED, 4, 1)
+    plans = [EnumerationPlan(n, "random", SEARCH_BUDGET, SEARCH_SEED, workers=4)
+             for n in SEARCH_N_RANGE]
+    combined, reports = search_n_range(plans, "beta47-bound", 1)
     witnesses = combined.witnesses
     scanned = combined.instances_scanned
     elapsed = time.monotonic() - t0

@@ -225,8 +225,9 @@ def test_max_witnesses_below_one_is_refused_before_any_scan(monkeypatch):
             search_counterexample(EnumerationPlan(n=4, mode="exhaustive"), "main",
                                   max_witnesses=budget)
         for mode, samples, seed in (("exhaustive", 0, None), ("random", 4000, 4)):
+            plans = [EnumerationPlan(n, mode, samples, seed) for n in range(3, 5)]
             with pytest.raises(ValueError, match="max_witnesses"):
-                search_n_range("main", range(3, 5), mode, samples, seed, 1, budget)
+                search_n_range(plans, "main", budget)
     assert evaluated == []
 
 
@@ -237,7 +238,8 @@ def test_search_n_range_carries_the_witness_budget_across_n(monkeypatch):
     monkeypatch.setattr(corpus, "evaluate_profile", _always_failing("main"))
     monkeypatch.setattr(corpus, "witness_from_ideal", _stub_witness)
 
-    combined, per_n = search_n_range("main", range(3, 6), "exhaustive", 0, None, 1, 10)
+    plans = [EnumerationPlan(n, "exhaustive") for n in range(3, 6)]
+    combined, per_n = search_n_range(plans, "main", 10)
     assert [r.n_values for r in per_n] == [(3,), (4,)]
     assert [len(r.witnesses) for r in per_n] == [8, 2]
     assert [r.instances_scanned for r in per_n] == [PROPER_IDEAL_COUNTS[3],
@@ -246,3 +248,30 @@ def test_search_n_range_carries_the_witness_budget_across_n(monkeypatch):
     assert combined.n_values == (3, 4, 5)
     assert combined.instances_scanned == 184
     assert combined.status == "witnesses-found"
+
+
+def test_search_n_range_refuses_plans_that_differ_in_more_than_n(monkeypatch):
+    # the combined report reads one mode and seed off the plans and the split
+    # reads one sample count, so a request whose plans disagree is refused
+    # before any profile is evaluated
+    evaluated = []
+    monkeypatch.setattr(corpus, "evaluate_profile", evaluated.append)
+
+    base = EnumerationPlan(3, "random", 4000, 4)
+    for other in (base._replace(n=4, seed=5), base._replace(n=4, workers=2),
+                  base._replace(n=4, sample_count=10), EnumerationPlan(4, "exhaustive")):
+        with pytest.raises(ValueError, match="differ only in n"):
+            search_n_range([base, other], "main", 1)
+    assert evaluated == []
+
+
+def test_search_n_range_holds_the_plans_as_passed():
+    # 3 samples over n = 10..14: n = 10, 11 and 12 draw one sample each and
+    # n = 13, 14 none, while the combined report keeps all five requested plans
+    plans = [EnumerationPlan(n, "random", 3, 1) for n in range(10, 15)]
+    combined, per_n = search_n_range(iter(plans), "beta47-bound", 1)
+    assert combined.plans == tuple(plans)
+    assert combined.n_values == (10, 11, 12, 13, 14)
+    assert [r.plans for r in per_n] == [(plan._replace(sample_count=1),) for plan in plans[:3]]
+    assert [r.instances_scanned for r in per_n] == [1, 1, 1]
+    assert combined.instances_scanned == 3

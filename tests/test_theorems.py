@@ -19,8 +19,8 @@ from hilbertdepth.theorems import (CHECK_ORDER, PREDICATES, VERIFY_CHECKS, Profi
                                    _principal_profiles, _witness, evaluate_profile,
                                    reproduce_bound_tables, run_checks, witness_from_ideal)
 
-from conftest import (N9_FAILING_ALPHAS, failing_prefixes, principal_alpha_profile,
-                      realizable_profiles)
+from conftest import (N9_FAILING_ALPHAS, failing_prefixes, near_cap_prefixes,
+                      principal_alpha_profile, realizable_profiles, sharp_row)
 
 
 def _verdict(report, name):
@@ -207,6 +207,52 @@ def test_exact_prefix_scan_at_n11_no_prefix_fails_up_to_q6():
     # the q <= 6 half of main at n = 11: no realizable prefix at any level
     # 1 <= Q <= 6, over every a_1, has hdepth(S/I) >= Q > hdepth(I)
     assert failing_prefixes(11, range(1, 7)) == []
+
+
+# M(n, Q, k) for k = 0..Q, the largest b_k^Q(S/I) over realizable prefixes
+# with b^Q >= 0, and the cells k where it exceeds the cap C(n-Q+k-1, k)
+SHARP_ROWS = {
+    (8, 6): ((1, 2, 3, 4, 5, 6, 7), []),
+    (9, 5): ((1, 4, 10, 20, 35, 56), []),
+    (10, 6): ((1, 4, 10, 20, 35, 56, 84), []),
+    (9, 6): ((1, 3, 6, 10, 15, 22, 28), [5]),
+    (9, 7): ((1, 2, 3, 4, 5, 6, 8, 8), [6]),
+    (10, 7): ((1, 3, 6, 10, 19, 28, 35, 36), [4, 5, 6]),
+    (10, 8): ((1, 2, 3, 4, 5, 6, 10, 10, 9), [6, 7]),
+}
+
+
+def test_sharp_rows_up_to_n10():
+    # S's own prefix reaches every cap cell, so each row is at least the cap;
+    # it exceeds the cap only where a failing prefix does
+    for (n, Q), (row, over) in SHARP_ROWS.items():
+        cap = ring_beta_row(n, Q)
+        assert sharp_row(n, Q) == list(row), (n, Q)
+        assert all(m >= c for m, c in zip(row, cap))
+        assert [k for k in range(Q + 1) if row[k] != cap[k]] == over, (n, Q)
+    # the two n = 9 over-cap cells are those of the pinned failing prefixes
+    assert beta_values(N9_FAILING_ALPHAS[0], 6)[5] == 22
+    assert beta_values(N9_FAILING_ALPHAS[10], 7)[6] == 8
+
+
+# the prefixes (a_0, ..., a_k) other than S's own that complete to b^6 >= 0
+# and whose cell b_k^6 reaches the cap, with how far it is over: none at n = 7,
+# and none at level 6
+NEAR_CAP_Q6 = {
+    7: {},
+    8: {(1, 8, 28, 56, 65, 46): 0},
+    9: {(1, 9, 36, 77, 105): 0, (1, 9, 36, 82, 105, 90): 0, (1, 9, 36, 82, 105, 91): 1},
+    10: {(1, 10, 36, 84): 0, (1, 10, 41, 84, 126): 0, (1, 10, 45, 120, 182, 196): 0},
+}
+
+
+def test_near_cap_prefixes_at_q6_up_to_n10():
+    for n, excess in NEAR_CAP_Q6.items():
+        assert near_cap_prefixes(n, 6) == sorted(excess), n
+        for prefix, over in excess.items():
+            k = len(prefix) - 1
+            cell = beta_values(prefix + (0,) * (n + 1 - len(prefix)), 6)[k]
+            assert cell - ring_beta_row(n, 6)[k] == over, prefix
 
 
 # one beta47-bound witness prefix (a_0, ..., a_7) per n, the cell k = 4 it
