@@ -234,10 +234,10 @@ def _verify_csv(plans, out_path):
                        for i in range(plan.sample_count)))
             for ideal in ideals:
                 report = hdepth_report(ideal)
-                verdicts = run_checks(report)[1][:len(VERIFY_CHECKS)]
-                failures += sum(1 for v in verdicts if v)
-                writer.writerow(_csv_row(report, nmax)
-                                + ["" if v is None else int(not v) for v in verdicts])
+                cells = ["" if v is None else int(not v)
+                         for v in run_checks(report)[1][:len(VERIFY_CHECKS)]]
+                failures += cells.count(0)
+                writer.writerow(_csv_row(report, nmax) + cells)
     return 1 if failures else 0
 
 

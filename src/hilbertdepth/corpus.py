@@ -617,9 +617,9 @@ def search_n_range(plans, predicate: str,
     """Search one request's plans (one per n, alike in all else) in turn: the
     combined report, which holds the plans as passed, and the per-n reports.
 
-    An empty or mixed request is refused before any scan.  Random mode splits
-    the sample count evenly over the n values (the first ones take the
-    remainder; an n whose share is 0 is skipped).  The search stops at the
+    An empty or mixed request, or one that repeats an n, is refused before
+    any scan.  Random mode splits the sample count evenly over the n values
+    (the first ones take the remainder; an n whose share is 0 is skipped).  The search stops at the
     first n that brings the witness count to ``max_witnesses``.
     """
     plans = requested = tuple(plans)
@@ -627,6 +627,8 @@ def search_n_range(plans, predicate: str,
         raise ValueError("search_n_range needs at least one n")
     if len({plan[1:] for plan in plans}) > 1:  # every field but n
         raise ValueError("the plans of one search may differ only in n")
+    if len({plan.n for plan in plans}) < len(plans):
+        raise ValueError("the plans of one search must each have their own n")
     if plans[0].mode == "random":
         share, extra = divmod(plans[0].sample_count, len(plans))
         plans = [plan._replace(sample_count=share + (i < extra))

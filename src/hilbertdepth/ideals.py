@@ -17,8 +17,9 @@ I, and a_j(S/I) + a_j(I) = C(n, j).  Counting enumerates the full subset
 lattice, held as one big-integer bitset over the 2^n monomial indices: the
 members of an ideal are the upward closure of its generator bits, computed
 with n shift-or passes, and per-degree counts are popcounts against level
-masks.  This caps the computation at n <= ALPHA_N_MAX.
-Alpha vectors are plain tuples (a_0, ..., a_n).
+masks.  This caps the computation at n <= ALPHA_N_MAX.  ``alpha_vector``
+keeps the last ideal's counts, so the two vectors of one report count one
+closure.  Alpha vectors are plain tuples (a_0, ..., a_n).
 """
 
 from __future__ import annotations
@@ -215,6 +216,14 @@ def alpha_counts_of_ideal(n: int, gens) -> tuple[int, ...]:
 
 # --- alpha vectors ----------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _ideal_counts(ideal: Ideal) -> tuple[int, ...]:
+    """a_j(ideal), memoized for the last ideal: a report reads alpha(S/I) and
+    alpha(I) in turn, complements of one closure, and this counts it once.
+    The immutable ideal is its own key (``gens`` is a tuple)."""
+    return alpha_counts_of_ideal(ideal.n, ideal.gens)
+
+
 def alpha_vector(J: Ideal, I: Ideal | None = None) -> tuple[int, ...]:
     """Alpha vector of J/I: counts of squarefree monomials in J but not in I.
 
@@ -230,11 +239,11 @@ def alpha_vector(J: Ideal, I: Ideal | None = None) -> tuple[int, ...]:
     if not (J.is_unit or I.is_zero or J.contains_ideal(I)):
         raise DomainError("alpha_vector: I is not contained in J")
     if J.is_unit:
-        return complement_counts(alpha_counts_of_ideal(n, I.gens))
-    counts = alpha_counts_of_ideal(n, J.gens)
+        return complement_counts(_ideal_counts(I))
+    counts = _ideal_counts(J)
     if not I.is_zero:
         # I inside J: a_j(J/I) = a_j(J) - a_j(I)
-        counts = tuple(map(sub, counts, alpha_counts_of_ideal(n, I.gens)))
+        counts = tuple(map(sub, counts, _ideal_counts(I)))
     return counts
 
 

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hilbertdepth import ideals
 from hilbertdepth.combinatorics import binom, binom_row, complement_counts
 from hilbertdepth.corpus import (alpha_census, compressed_complex_ideal, enumerate_ideals,
                                  random_ideal, sample_rng)
 from hilbertdepth.depth import (alpha_from_beta, beta_triangle, beta_values,
                                 hdepth, hdepth_pair, hdepth_report)
 from hilbertdepth.errors import DomainError
-from hilbertdepth.ideals import ALPHA_N_MAX, Ideal, parse_ideal
+from hilbertdepth.ideals import ALPHA_N_MAX, Ideal, alpha_of_ideal, parse_ideal
 
 from conftest import principal_alpha_profile
 
@@ -231,6 +232,29 @@ def test_hdepth_report_depths_match_hdepth_and_pair():
         depths = (r.profile.q, r.profile.h_ideal)
         assert depths == (hdepth(a_q), hdepth(a_i)) == hdepth_pair(a_q)[:2]
         assert r.profile.beta_q == hdepth_pair(a_q)[2]
+
+
+def test_hdepth_report_counts_each_ideal_once(monkeypatch):
+    # both alpha vectors of a report go through alpha_vector, and they share
+    # one upward closure: 200 seeded n = 9 reports count 200 closures
+    calls = {"alpha_counts_of_ideal": 0, "alpha_vector": 0}
+
+    def counted(name):
+        fn = getattr(ideals, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(ideals, name, wrapper)
+
+    seeded = [random_ideal(9, sample_rng(42, 9, i)) for i in range(200)]
+    assert all(I != J for I, J in zip(seeded, seeded[1:]))
+    alpha_of_ideal(Ideal.zero(9))  # leaves no seeded ideal's counts behind
+    for name in calls:
+        counted(name)
+    for I in seeded:
+        hdepth_report(I)
+    assert calls == {"alpha_counts_of_ideal": 200, "alpha_vector": 400}
 
 
 def test_principal_equivalences_exhaustive():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hilbertdepth.combinatorics import (N_MAX, binom, binom_row, macaulay_rep, kk_lower_bound,
                                         kk_upper_bound)
 from hilbertdepth.corpus import enumerate_ideals, random_ideal, sample_rng
+from hilbertdepth.depth import hdepth_report
 from hilbertdepth.errors import CapacityError, DomainError, ParseError
 from hilbertdepth.ideals import (ALPHA_N_MAX, Ideal, _lattice,
                                  alpha_counts_of_ideal, alpha_of_ideal,
@@ -167,30 +168,48 @@ def test_alpha_examples():
         assert a[0] == 1 and a[1] == 9
 
 
+def _brute_counts(J, I=None):
+    """a_j(J/I) by testing every monomial; I = None is the zero ideal."""
+    I = I or Ideal.zero(J.n)
+    inside = [m for m in range(1 << J.n) if J.contains(m) and not I.contains(m)]
+    return tuple(sum(1 for m in inside if m.bit_count() == j) for j in range(J.n + 1))
+
+
 def test_alpha_general_quotient():
     J = parse_ideal("x1", 2)
     I = parse_ideal("x1*x2", 2)
     assert tuple(alpha_vector(J, I)) == (0, 1, 0)
     assert tuple(alpha_vector(J, J)) == (0, 0, 0)
-    # every nested pair I inside J for n <= 4, against brute-force counts
+    # every nested pair I inside J for n <= 4, against brute-force counts;
+    # each pair sits between a report on J and a second read of J, so a
+    # count memoized for the wrong ideal shows
     for n in range(1, 5):
+        row = binom_row(n)
         ideals = list(enumerate_ideals(n))
         for J in ideals:
+            a_j = _brute_counts(J)
             for I in filter(J.contains_ideal, ideals):
-                assert tuple(alpha_vector(J, I)) == tuple(
-                    sum(1 for m in range(1 << n)
-                        if m.bit_count() == j and J.contains(m) and not I.contains(m))
-                    for j in range(n + 1)), (J, I)
+                report = hdepth_report(J)
+                assert tuple(alpha_vector(J, I)) == _brute_counts(J, I), (J, I)
+                assert alpha_of_quotient(J) == report.alpha_quotient == tuple(
+                    row[j] - a_j[j] for j in range(n + 1)), (J, I)
 
 
 def test_alpha_vector_of_unit_and_zero_sides():
-    # J = S and I = 0 skip the containment check; I's counts by brute force
+    # J = S and I = 0 skip the containment check; I's counts by brute force.
+    # Before them come a report on I, I inside the maximal ideal, and the
+    # maximal ideal alone, so each side reads I again after another ideal
     for n in range(1, 6):
         row = binom_row(n)
+        maximal = Ideal.from_masks(n, [1 << v for v in range(n)])
+        a_m = (0,) + row[1:]
+        assert alpha_of_ideal(maximal) == _brute_counts(maximal) == a_m
         for I in enumerate_ideals(n):
-            a_i = tuple(sum(1 for m in range(1 << n) if m.bit_count() == j and I.contains(m))
-                        for j in range(n + 1))
-            assert tuple(alpha_vector(I, Ideal.zero(n))) == a_i
+            a_i = _brute_counts(I)
+            report = hdepth_report(I)
+            assert tuple(alpha_vector(maximal, I)) == tuple(a - b for a, b in zip(a_m, a_i))
+            assert alpha_of_ideal(maximal) == a_m
+            assert tuple(alpha_vector(I, Ideal.zero(n))) == a_i == report.alpha_ideal
             assert tuple(alpha_vector(Ideal.unit(n), I)) == tuple(
                 row[j] - a_i[j] for j in range(n + 1))
 

@@ -265,6 +265,18 @@ def test_search_n_range_refuses_plans_that_differ_in_more_than_n(monkeypatch):
     assert evaluated == []
 
 
+def test_search_n_range_refuses_a_repeated_n(monkeypatch):
+    # each plan would scan its n again with the same seed and samples, so a
+    # request that repeats an n is refused before any profile is evaluated
+    evaluated = []
+    monkeypatch.setattr(corpus, "evaluate_profile", evaluated.append)
+
+    for base in (EnumerationPlan(3, "random", 4, 1), EnumerationPlan(3, "exhaustive")):
+        with pytest.raises(ValueError, match="own n"):
+            search_n_range([base, base._replace(n=4), base], "main", 1)
+    assert evaluated == []
+
+
 def test_search_n_range_holds_the_plans_as_passed():
     # 3 samples over n = 10..14: n = 10, 11 and 12 draw one sample each and
     # n = 13, 14 none, while the combined report keeps all five requested plans
