@@ -165,6 +165,11 @@ def kk_upper_bound(rep: MacaulayRep) -> int:
     return sum(comb(top, idx + 1) if top >= idx + 1 else 0 for top, idx in rep.terms)
 
 
+def kk_ceiling(n: int, d: int, prev: int) -> int:
+    """The largest a_d on n vertices after a_{d-1} = prev: min(C(n, d), KK^+(prev))."""
+    return min(binom(n, d), n if d == 1 else kk_upper_bound(macaulay_rep(prev, d - 1)))
+
+
 def binom_diff(c: int, k: int, x: int) -> int:
     """C(x, k) - c*C(x, k-1), exact and signed.
 

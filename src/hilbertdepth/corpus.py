@@ -43,8 +43,7 @@ from functools import lru_cache
 from itertools import accumulate, islice
 from typing import NamedTuple
 
-from .combinatorics import (N_MAX, colex_mask, complement_counts, kk_upper_bound,
-                            macaulay_rep)
+from .combinatorics import N_MAX, colex_mask, complement_counts, kk_ceiling
 from .errors import CapacityError
 from .ideals import (ALPHA_N_MAX, Ideal, alpha_counts_of_ideal,
                      alpha_of_quotient, minimalize)
@@ -210,10 +209,10 @@ def alpha_census(n: int) -> Counter:
 
 def compressed_complex_ideal(alpha: tuple[int, ...]) -> Ideal:
     """The ideal on n = len(alpha) - 1 variables whose quotient complex takes
-    the first alpha[d] d-sets of each level d in colex order.  Valid only for
-    Kruskal-Katona consistent alpha vectors, 0 <= a_d <= KK^+(a_{d-1}) at
-    every level; raises ValueError otherwise, and CapacityError, before any
-    unranking, when n exceeds ALPHA_N_MAX, the cap of the closing self-check.
+    the first alpha[d] d-sets of each level d in colex order.  Valid only when
+    0 <= a_d <= ``kk_ceiling(n, d, a_{d-1})`` (Kruskal-Katona) at every level;
+    raises ValueError otherwise, and CapacityError, before any unranking, when
+    n exceeds ALPHA_N_MAX, the cap of the closing self-check.
 
     In colex order a d-set's largest facet is the one that drops its lowest
     element.  So a d-set has all its facets among the first N colex
@@ -229,14 +228,13 @@ def compressed_complex_ideal(alpha: tuple[int, ...]) -> Ideal:
     n = len(alpha) - 1
     if n > ALPHA_N_MAX:
         raise CapacityError(f"compressed_complex_ideal: n={n} exceeds cap {ALPHA_N_MAX}")
-    gens, upper = [], n
+    gens = []
     for d, a in enumerate(alpha[1:], 1):
-        # by induction every rank range stays within the C(n, d) d-sets
+        upper = kk_ceiling(n, d, alpha[d - 1])
         if not 0 <= a <= upper:
             raise ValueError(f"alpha not realizable: a_{d} = {a} is outside [0, {upper}], "
                              "its Kruskal-Katona range")
         gens += [colex_mask(r, d) for r in range(a, upper)]
-        upper = kk_upper_bound(macaulay_rep(a, d))
     ideal = Ideal(n, tuple(gens))
     # the self-check, by counting: the quotient keeps exactly the chosen faces
     if alpha_of_quotient(ideal) != tuple(alpha):

@@ -42,8 +42,9 @@ for one ideal and returns its witness dict when it fails.
 
 ``reproduce_bound_tables`` regenerates the auxiliary difference tables
 x -> C(x,k) - c*C(x,k-1) that the level-6/level-7 bound derivations tabulate,
-and the a_2 window of the q = 7 analysis (min(a_3) read off ``beta_values``),
-and diffs them cell by cell against the published rows.
+and the a_2 window of the q = 7 analysis (min(a_3) read off ``beta_values``,
+max(a_3) off ``kk_ceiling``), and diffs them cell by cell against the published
+rows.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .combinatorics import (binom, binom_diff, complement_counts, kk_upper_bound,
-                            macaulay_rep)
+from .combinatorics import binom, binom_diff, complement_counts, kk_ceiling
 # hdepth is not called here; perfbench/selftest.py pins the theorems.hdepth
 # binding that the benchmark's tracer rebinds, so the import stays
 from .depth import (HdepthReport, Profile, beta_values, hdepth,  # noqa: F401
@@ -170,6 +170,8 @@ def run_checks(report: HdepthReport) -> tuple[Profile, tuple[str | None, ...]]:
 def witness_from_ideal(I: Ideal, name: str) -> dict | None:
     """Fresh full evaluation of one check on one ideal; the failing witness
     dict, or None if the check passes (or does not apply)."""
+    if name not in CHECK_ORDER:
+        raise ValueError(f"unknown predicate {name!r}")
     report = hdepth_report(I)
     verdict = run_checks(report)[1][CHECK_ORDER.index(name)]
     return _witness(report, name, verdict) if verdict else None
@@ -270,7 +272,7 @@ BOUND_TABLES = (
 # a_0 = 1, a_1 = 9 at n = 9 and q = 7), the forced window of a_3 and the
 # resulting cap on 6*a_3 - 10*a_2.  min(a_3) comes from b_3^7 >= 0: b_3^7 =
 # a_3 - 5*a_2 + 100, so min(a_3) = 5*a_2 - 100, which is -b_3^7 at a_3 = 0;
-# max(a_3) is the Kruskal-Katona upper shadow bound.
+# max(a_3) is the Kruskal-Katona ceiling, kk_ceiling(9, 3, a_2).
 ALPHA2_WINDOW_TABLE = (
     ("alpha2", (33, 34, 35, 36)),
     ("min_alpha3", (65, 70, 75, 80)),
@@ -282,7 +284,7 @@ ALPHA2_WINDOW_TABLE = (
 def _alpha2_window_computed() -> dict[str, tuple[int, ...]]:
     alpha2 = ALPHA2_WINDOW_TABLE[0][1]
     min_a3 = tuple(-beta_values((1, 9, a2, 0, 0, 0, 0, 0), 7)[3] for a2 in alpha2)
-    max_a3 = tuple(kk_upper_bound(macaulay_rep(a2, 2)) for a2 in alpha2)
+    max_a3 = tuple(kk_ceiling(9, 3, a2) for a2 in alpha2)
     cap = tuple(6 * m - 10 * a2 for m, a2 in zip(max_a3, alpha2))
     return {"alpha2": alpha2, "min_alpha3": min_a3,
             "max_alpha3": max_a3, "max_6a3_minus_10a2": cap}

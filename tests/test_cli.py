@@ -358,9 +358,9 @@ def test_in_process_runs_leave_pool_unloaded(samples, workers):
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():
     # the records are NamedTuples: importing dataclasses (and with it inspect)
-    # cost every launch several milliseconds
-    probe = ("import sys; import hilbertdepth.cli; "
-             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    # cost every launch several milliseconds; no command walks profiles
+    probe = ("import sys; import hilbertdepth.cli; print(sorted(m for m in "
+             "('dataclasses', 'inspect', 'hilbertdepth.profiles') if m in sys.modules))")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", probe], env=env,

@@ -15,12 +15,13 @@ from hilbertdepth.depth import (HdepthReport, beta_values, hdepth_pair, hdepth_r
                                ring_beta_row)
 from hilbertdepth.errors import DomainError
 from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
+from hilbertdepth.profiles import (beta_nodes, failing_prefixes, near_cap_prefixes,
+                                   realizable_profiles, sharp_row)
 from hilbertdepth.theorems import (CHECK_ORDER, PREDICATES, VERIFY_CHECKS, Profile,
                                    _principal_profiles, _witness, evaluate_profile,
                                    reproduce_bound_tables, run_checks, witness_from_ideal)
 
-from conftest import (N9_FAILING_ALPHAS, failing_prefixes, near_cap_prefixes,
-                      principal_alpha_profile, realizable_profiles, sharp_row)
+from conftest import N9_FAILING_ALPHAS, principal_alpha_profile
 
 
 def _verdict(report, name):
@@ -172,6 +173,20 @@ def test_realizable_walk_yields_exactly_the_census_profiles(census6):
     assert total == 681
 
 
+def test_beta_nodes_complete_to_exactly_the_census_prefixes_with_beta_nonnegative(census6):
+    # the nodes every scan reads, each a_Q of their intervals appended, are
+    # exactly the census prefixes (a_0, ..., a_Q) with b^Q(S/I) >= 0, and a
+    # node's cells and rest_Q give that row
+    for n in range(1, 7):
+        census = census6 if n == 6 else alpha_census(n)
+        for Q in range(1, n):
+            walked = {prefix + (a,): cells + (a + rest,)
+                      for prefix, cells, rest, lo, hi in beta_nodes(n, Q)
+                      for a in range(lo, hi + 1)}
+            rows = {alpha[:Q + 1]: beta_values(alpha, Q) for alpha in census}
+            assert walked == {p: row for p, row in rows.items() if min(row) >= 0}, (n, Q)
+
+
 def test_exact_prefix_scan_finds_exactly_the_n9_failures():
     # every realizable prefix at every level 1 <= Q < n, for every a_1: none
     # fails below n = 9, and at n = 9 exactly the 12 pinned ones do
@@ -210,7 +225,8 @@ def test_exact_prefix_scan_at_n11_no_prefix_fails_up_to_q6():
 
 
 # M(n, Q, k) for k = 0..Q, the largest b_k^Q(S/I) over realizable prefixes
-# with b^Q >= 0, and the cells k where it exceeds the cap C(n-Q+k-1, k)
+# with b^Q >= 0, and the cells k where it exceeds the cap C(n-Q+k-1, k); the
+# (11, 6) row is the cap itself
 SHARP_ROWS = {
     (8, 6): ((1, 2, 3, 4, 5, 6, 7), []),
     (9, 5): ((1, 4, 10, 20, 35, 56), []),
@@ -219,6 +235,7 @@ SHARP_ROWS = {
     (9, 7): ((1, 2, 3, 4, 5, 6, 8, 8), [6]),
     (10, 7): ((1, 3, 6, 10, 19, 28, 35, 36), [4, 5, 6]),
     (10, 8): ((1, 2, 3, 4, 5, 6, 10, 10, 9), [6, 7]),
+    (11, 6): ((1, 5, 15, 35, 70, 126, 210), []),
 }
 
 
@@ -236,13 +253,14 @@ def test_sharp_rows_up_to_n10():
 
 
 # the prefixes (a_0, ..., a_k) other than S's own that complete to b^6 >= 0
-# and whose cell b_k^6 reaches the cap, with how far it is over: none at n = 7,
-# and none at level 6
+# and whose cell b_k^6 reaches the cap, with how far it is over: none at n = 7
+# or 11, and none at level 6
 NEAR_CAP_Q6 = {
     7: {},
     8: {(1, 8, 28, 56, 65, 46): 0},
     9: {(1, 9, 36, 77, 105): 0, (1, 9, 36, 82, 105, 90): 0, (1, 9, 36, 82, 105, 91): 1},
     10: {(1, 10, 36, 84): 0, (1, 10, 41, 84, 126): 0, (1, 10, 45, 120, 182, 196): 0},
+    11: {},
 }
 
 
@@ -293,7 +311,7 @@ def test_witness_reads_its_verdict_off_run_checks():
                 assert witness["check"] == name and witness["violated"] == verdict
                 failed[name] += 1
     assert failed == {"main": 12, "q6-bounds": 10, "lemma79": 2}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown predicate 'no-such-check'"):
         witness_from_ideal(ideals[0], "no-such-check")
 
 
