@@ -1,6 +1,8 @@
 """The Kruskal-Katona prefix walk over the realizable alpha(S/I) on n variables,
 a_d in [0, ``kk_ceiling(n, d, a_{d-1})``], and the exact scans read off it.
-Each walk memoizes the ceiling for its own run only.
+Every walk is depth first on an explicit stack and streams, holding no list of
+every node or result, and memoizes the ceiling for its own run only.  A scan's
+level Q must lie in 1 <= Q < n (only the full simplex reaches Q = n).
 
 *The reduction.*  At a level Q, b^Q(I) = b^Q(S) - b^Q(S/I), and b^Q(S) is the
 cap ``ring_beta_row(n, Q)`` (proof in ``depth.hdepth_pair``).  So b^Q(S/I) >= 0
@@ -25,14 +27,25 @@ from .combinatorics import binom_row, kk_ceiling
 from .depth import ring_beta_row
 
 
+def _check_level(n, Q):
+    if not 1 <= Q < n:
+        raise ValueError(f"level Q={Q} is outside 1 <= Q <= {n - 1} for n={n}")
+
+
 def realizable_profiles(n):
     """Every realizable alpha(S/I) with a_0 = 1 but the full simplex, in
     ascending order: a_d runs over [0, kk_ceiling(n, d, a_{d-1})]."""
     ceiling = lru_cache(maxsize=None)(partial(kk_ceiling, n))
-    prefixes = [(1,)]
-    for d in range(1, n + 1):
-        prefixes = [p + (a,) for p in prefixes for a in range(ceiling(d, p[-1]) + 1)]
-    return [alpha for alpha in prefixes if alpha != binom_row(n)]
+    own = binom_row(n)
+    # depth first; a node (a_0, ..., a_{n-1}) yields its a_n in [0, hi] as leaves
+    stack = [(1,)] if n else []
+    while stack:
+        prefix = stack.pop()
+        hi = ceiling(len(prefix), prefix[-1])
+        if len(prefix) < n:
+            stack.extend(prefix + (a,) for a in range(hi, -1, -1))
+        else:
+            yield from filter(own.__ne__, (prefix + (a,) for a in range(hi + 1)))
 
 
 def beta_nodes(n, Q):
@@ -40,6 +53,7 @@ def beta_nodes(n, Q):
     k < Q, are nonnegative and that some a_Q completes to b^Q >= 0, in
     ascending walk order, as (prefix, cells, rest_Q, lo, hi): ``cells`` are
     b_0^Q, ..., b_{Q-1}^Q, and a_Q runs over [lo, hi] with b_Q^Q = a_Q + rest_Q."""
+    _check_level(n, Q)
     ceiling = lru_cache(maxsize=None)(partial(kk_ceiling, n))
     # a_j's coefficients (-1)^(k-j) C(Q-j, k-j) in rest_k, for k = j+1..Q
     terms = [[(-1) ** (k - j) * comb(Q - j, k - j) for k in range(j + 1, Q + 1)]
@@ -61,14 +75,13 @@ def beta_nodes(n, Q):
 def failing_prefixes(n, levels=None):
     """Every realizable prefix (a_0, ..., a_Q), Q in ``levels`` (default
     1 <= Q < n), zero-padded, with b^Q(S/I) >= 0 over the cap in some cell:
-    hdepth(S/I) >= Q > hdepth(I).  Listed by Q, then in ascending walk order."""
-    found = []
+    hdepth(S/I) >= Q > hdepth(I).  Yielded by Q, then in ascending walk order."""
     for Q in range(1, n) if levels is None else levels:
+        _check_level(n, Q)
         cap = ring_beta_row(n, Q)
         for prefix, cells, rest, lo, hi in beta_nodes(n, Q):
             first = lo if any(map(gt, cells, cap)) else max(lo, cap[Q] - rest + 1)
-            found.extend(prefix + (a,) + (0,) * (n - Q) for a in range(first, hi + 1))
-    return found
+            yield from (prefix + (a,) + (0,) * (n - Q) for a in range(first, hi + 1))
 
 
 def sharp_row(n, Q):
@@ -84,6 +97,7 @@ def sharp_row(n, Q):
 def near_cap_prefixes(n, Q):
     """Every prefix (a_0, ..., a_k), k <= Q, other than S's own, that completes
     to b^Q >= 0 and whose last cell reaches the cap, b_k^Q >= b_k^Q(S); sorted."""
+    _check_level(n, Q)
     cap, own = ring_beta_row(n, Q), binom_row(n)
     found = set()
     for prefix, cells, rest, lo, hi in beta_nodes(n, Q):

@@ -21,7 +21,7 @@ from hilbertdepth.theorems import (CHECK_ORDER, PREDICATES, VERIFY_CHECKS, Profi
                                    _principal_profiles, _witness, evaluate_profile,
                                    reproduce_bound_tables, run_checks, witness_from_ideal)
 
-from conftest import N9_FAILING_ALPHAS, principal_alpha_profile
+from conftest import N9_FAILING_ALPHAS, principal_alpha_profile, traced
 
 
 def _verdict(report, name):
@@ -149,9 +149,9 @@ def test_cap_checks_restate_main_on_every_profile_n7_n8():
     # itself passes on every realizable profile, so no prefix fails at n = 7, 8
     counts = {}
     for n in (7, 8):
-        profiles = realizable_profiles(n)
-        q6_applicable = 0
-        for alpha in profiles:
+        profiles = q6_applicable = 0
+        for alpha in realizable_profiles(n):
+            profiles += 1
             v = dict(zip(CHECK_ORDER, evaluate_profile(alpha)[1]))
             assert v["main"] == "", alpha
             if v["q6-bounds"] is not None:
@@ -159,16 +159,17 @@ def test_cap_checks_restate_main_on_every_profile_n7_n8():
                 assert bool(v["q6-bounds"]) == bool(v["main"]), alpha
             assert v["lemma79"] is None
             assert not v["bound-equivalence"], alpha
-        counts[n] = (len(profiles), q6_applicable)
+        counts[n] = (profiles, q6_applicable)
     assert counts == {7: (5459, 0), 8: (100707, 938)}
 
 
 def test_realizable_walk_yields_exactly_the_census_profiles(census6):
-    # the Kruskal-Katona walk and the downset census check each other
+    # the Kruskal-Katona walk and the downset census check each other, and the
+    # walk yields in ascending order
     total = 0
     for n in range(1, 7):
-        profiles = realizable_profiles(n)
-        assert sorted(profiles) == sorted(census6 if n == 6 else alpha_census(n)), n
+        profiles = list(realizable_profiles(n))
+        assert profiles == sorted(census6 if n == 6 else alpha_census(n)), n
         total += len(profiles)
     assert total == 681
 
@@ -191,15 +192,15 @@ def test_exact_prefix_scan_finds_exactly_the_n9_failures():
     # every realizable prefix at every level 1 <= Q < n, for every a_1: none
     # fails below n = 9, and at n = 9 exactly the 12 pinned ones do
     for n in range(1, 9):
-        assert failing_prefixes(n) == [], n
-    assert failing_prefixes(9) == N9_FAILING_ALPHAS
+        assert list(failing_prefixes(n)) == [], n
+    assert list(failing_prefixes(9)) == N9_FAILING_ALPHAS
 
 
 def test_exact_prefix_scan_at_n10_fails_only_beta47():
     # every failing n = 10 prefix has a_1 = 10 (I inside m^2) and sits at
     # q = 7 or 8, so main's gate (q <= 6 or n <= 9) excludes all of them;
     # 510 fail the beta47 search target on its cell k = 4
-    prefixes = failing_prefixes(10)
+    prefixes = list(failing_prefixes(10))
     assert len(prefixes) == 3884
     assert {alpha[1] for alpha in prefixes} == {10}
     records = [evaluate_profile(alpha) for alpha in prefixes]
@@ -221,7 +222,29 @@ def test_exact_prefix_scan_at_n10_fails_only_beta47():
 def test_exact_prefix_scan_at_n11_no_prefix_fails_up_to_q6():
     # the q <= 6 half of main at n = 11: no realizable prefix at any level
     # 1 <= Q <= 6, over every a_1, has hdepth(S/I) >= Q > hdepth(I)
-    assert failing_prefixes(11, range(1, 7)) == []
+    assert list(failing_prefixes(11, range(1, 7))) == []
+
+
+def test_walks_stream_without_holding_their_results():
+    # counted as they stream, the walks hold one path's siblings: a list of
+    # every result peaks at 1.56 MB and 0.59 MB traced
+    count, _, peak = traced(lambda: sum(1 for _ in realizable_profiles(7)))
+    assert (count, peak < 100_000) == (5459, True), peak
+    count, _, peak = traced(lambda: sum(1 for _ in failing_prefixes(10, [7])))
+    assert (count, peak < 200_000) == (3861, True), peak
+
+
+@pytest.mark.parametrize("Q", [-1, 0, 5, 7])
+@pytest.mark.parametrize("scan", [lambda Q: next(failing_prefixes(5, [Q])),
+                                  lambda Q: next(beta_nodes(5, Q)),
+                                  lambda Q: sharp_row(5, Q),
+                                  lambda Q: near_cap_prefixes(5, Q)],
+                         ids=["failing_prefixes", "beta_nodes", "sharp_row", "near_cap_prefixes"])
+def test_walks_refuse_a_level_outside_1_to_n_minus_1(scan, Q):
+    # refused before any cap row or node, which Q = 0 would index past and
+    # Q = 7 would build from negative binomials; only the full simplex has Q = n
+    with pytest.raises(ValueError, match=rf"^level Q={Q} is outside 1 <= Q <= 4 for n=5$"):
+        scan(Q)
 
 
 # M(n, Q, k) for k = 0..Q, the largest b_k^Q(S/I) over realizable prefixes
