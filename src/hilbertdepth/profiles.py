@@ -1,7 +1,10 @@
 """The Kruskal-Katona prefix walk over the realizable alpha(S/I) on n variables,
-a_d in [0, ``kk_ceiling(n, d, a_{d-1})``], and the exact scans read off it.
-Every walk is depth first on an explicit stack and streams, holding no list of
-every node or result, and memoizes the ceiling for its own run only.  A scan's
+a_d in [0, ``kk_ceiling(n, d, a_{d-1})``], and the exact scans read off it:
+``failing_prefixes``, the prefixes that fail the comparison at a level Q, and
+``sharp_cells``, the prefixes that reach each cap cell of Q, whose largest
+cells are the sharp row.  Every walk is depth first on an explicit stack and
+streams, holding no list of every node (``sharp_cells`` keeps only the few
+cap-reaching prefixes), and memoizes the ceiling for its own run only.  A scan's
 level Q must lie in 1 <= Q < n (only the full simplex reaches Q = n).
 
 *The reduction.*  At a level Q, b^Q(I) = b^Q(S) - b^Q(S/I), and b^Q(S) is the
@@ -20,8 +23,9 @@ else above cap_Q - rest_Q; its largest b_Q^Q is hi + rest_Q.
 """
 
 from functools import lru_cache, partial
+from itertools import compress
 from math import comb
-from operator import gt
+from operator import ge, gt
 
 from .combinatorics import binom_row, kk_ceiling
 from .depth import ring_beta_row
@@ -84,23 +88,18 @@ def failing_prefixes(n, levels=None):
             yield from (prefix + (a,) + (0,) * (n - Q) for a in range(first, hi + 1))
 
 
-def sharp_row(n, Q):
-    """M(n, Q, k) for k = 0..Q: the largest b_k^Q(S/I) over the realizable
-    prefixes with b^Q >= 0, each cell read off a ``beta_nodes`` node, so a
-    node counts only if some leaf lies below it."""
-    row = [0] * (Q + 1)
-    for _, cells, rest, _, hi in beta_nodes(n, Q):
-        row = list(map(max, row, cells + (hi + rest,)))
-    return row
-
-
-def near_cap_prefixes(n, Q):
-    """Every prefix (a_0, ..., a_k), k <= Q, other than S's own, that completes
-    to b^Q >= 0 and whose last cell reaches the cap, b_k^Q >= b_k^Q(S); sorted."""
+def sharp_cells(n, Q):
+    """For each cell k = 0..Q, a dict from every prefix (a_0, ..., a_k) that
+    completes to b^Q >= 0 and reaches the cap, b_k^Q(S/I) >= b_k^Q(S), to that
+    b_k^Q(S/I), in ascending prefix order.  S's own prefix reaches every cap
+    cell, so a dict's largest value is the sharp row's M(n, Q, k), and its
+    other keys are the near-cap prefixes."""
     _check_level(n, Q)
-    cap, own = ring_beta_row(n, Q), binom_row(n)
-    found = set()
+    cap = ring_beta_row(n, Q)
+    found = {}
     for prefix, cells, rest, lo, hi in beta_nodes(n, Q):
-        found.update(prefix[:k + 1] for k, (b, c) in enumerate(zip(cells, cap)) if b >= c)
-        found.update(prefix + (a,) for a in range(max(lo, cap[Q] - rest), hi + 1))
-    return sorted(p for p in found if p != own[:len(p)])
+        for k in compress(range(Q), map(ge, cells, cap)):
+            found[prefix[:k + 1]] = cells[k]
+        for a in range(max(lo, cap[Q] - rest), hi + 1):
+            found[prefix + (a,)] = a + rest
+    return [{p: b for p, b in sorted(found.items()) if len(p) == k + 1} for k in range(Q + 1)]

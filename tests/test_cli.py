@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -419,6 +420,34 @@ def test_verify_csv_failing_rows(capsys, monkeypatch):
     assert header[-5:] == ["main", "principal-equivalence", "bound-equivalence",
                            "q6-bounds", "lemma79"]
     assert [",".join(row[-5:]) for row in rows] == ["0,1,1,0,", "0,1,1,,0"]
+
+
+@pytest.mark.parametrize("corpus", [["--exhaustive", "--n-range", "1..5"],
+                                    ["--random", "-n", "9", "--samples", "1000", "--seed", "42"]],
+                         ids=["exhaustive-n1-5", "random-n9"])
+def test_csv_report_agrees_with_json_summaries(capsys, corpus):
+    # the per-ideal report path (CSV) and the per-profile harness (JSON) scan
+    # the same ideals: each n's verdict cells (blank, 1, 0) tally to its
+    # summary's checks, and its rows to scanned, q_histogram and distinct_profiles
+    csv_code, out, _ = run_cli(capsys, "verify", *corpus, "--format", "csv")
+    json_code, payload, _ = run_cli(capsys, "verify", *corpus, "--format", "json")
+    assert csv_code == json_code
+    header, *rows = csv.reader(io.StringIO(out))
+    summaries = json.loads(payload)["results"]["summaries"]
+    assert {row[0] for row in rows} == {str(s["n"]) for s in summaries}
+    alpha_columns = [i for i, name in enumerate(header) if name.startswith("alpha_")]
+    for summary in summaries:
+        n_rows = [row for row in rows if row[0] == str(summary["n"])]
+        assert len(n_rows) == summary["scanned"]
+        for name, tally in summary["checks"].items():
+            cells = Counter(row[header.index(name)] for row in n_rows)
+            assert set(cells) <= {"", "1", "0"}, name
+            assert {"applicable": cells["1"] + cells["0"], "passed": cells["1"],
+                    "failed": cells["0"]} == tally, (summary["n"], name)
+        q_column = header.index("hdepth_quotient")
+        assert Counter(row[q_column] for row in n_rows) == summary["q_histogram"]
+        alphas = {tuple(row[i] for i in alpha_columns) for row in n_rows}
+        assert len(alphas) == summary["distinct_profiles"], summary["n"]
 
 
 def test_report_path_builds_no_beta_triangle(capsys, monkeypatch):

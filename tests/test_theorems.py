@@ -3,6 +3,7 @@
 import ast
 import re
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ from hilbertdepth.depth import (HdepthReport, beta_values, hdepth_pair, hdepth_r
                                ring_beta_row)
 from hilbertdepth.errors import DomainError
 from hilbertdepth.ideals import Ideal, alpha_of_quotient, parse_ideal
-from hilbertdepth.profiles import (beta_nodes, failing_prefixes, near_cap_prefixes,
-                                   realizable_profiles, sharp_row)
+from hilbertdepth.profiles import (beta_nodes, failing_prefixes, realizable_profiles,
+                                   sharp_cells)
 from hilbertdepth.theorems import (CHECK_ORDER, PREDICATES, VERIFY_CHECKS, Profile,
                                    _principal_profiles, _witness, evaluate_profile,
                                    reproduce_bound_tables, run_checks, witness_from_ideal)
@@ -237,14 +238,17 @@ def test_walks_stream_without_holding_their_results():
 @pytest.mark.parametrize("Q", [-1, 0, 5, 7])
 @pytest.mark.parametrize("scan", [lambda Q: next(failing_prefixes(5, [Q])),
                                   lambda Q: next(beta_nodes(5, Q)),
-                                  lambda Q: sharp_row(5, Q),
-                                  lambda Q: near_cap_prefixes(5, Q)],
-                         ids=["failing_prefixes", "beta_nodes", "sharp_row", "near_cap_prefixes"])
+                                  lambda Q: sharp_cells(5, Q)],
+                         ids=["failing_prefixes", "beta_nodes", "sharp_cells"])
 def test_walks_refuse_a_level_outside_1_to_n_minus_1(scan, Q):
     # refused before any cap row or node, which Q = 0 would index past and
     # Q = 7 would build from negative binomials; only the full simplex has Q = n
     with pytest.raises(ValueError, match=rf"^level Q={Q} is outside 1 <= Q <= 4 for n=5$"):
         scan(Q)
+
+
+# sharp_cells(n, Q), walked once per (n, Q) for the two tests below that read it
+_sharp_cells = lru_cache(maxsize=None)(sharp_cells)
 
 
 # M(n, Q, k) for k = 0..Q, the largest b_k^Q(S/I) over realizable prefixes
@@ -267,7 +271,7 @@ def test_sharp_rows_up_to_n10():
     # it exceeds the cap only where a failing prefix does
     for (n, Q), (row, over) in SHARP_ROWS.items():
         cap = ring_beta_row(n, Q)
-        assert sharp_row(n, Q) == list(row), (n, Q)
+        assert [max(cell.values()) for cell in _sharp_cells(n, Q)] == list(row), (n, Q)
         assert all(m >= c for m, c in zip(row, cap))
         assert [k for k in range(Q + 1) if row[k] != cap[k]] == over, (n, Q)
     # the two n = 9 over-cap cells are those of the pinned failing prefixes
@@ -288,12 +292,18 @@ NEAR_CAP_Q6 = {
 
 
 def test_near_cap_prefixes_at_q6_up_to_n10():
+    # every reached prefix, S's own included, is re-read zero-padded through
+    # beta_values; the keys other than S's own are the pinned ones
     for n, excess in NEAR_CAP_Q6.items():
-        assert near_cap_prefixes(n, 6) == sorted(excess), n
-        for prefix, over in excess.items():
-            k = len(prefix) - 1
-            cell = beta_values(prefix + (0,) * (n + 1 - len(prefix)), 6)[k]
-            assert cell - ring_beta_row(n, 6)[k] == over, prefix
+        cap, own, found = ring_beta_row(n, 6), binom_row(n), {}
+        for k, cell in enumerate(_sharp_cells(n, 6)):
+            assert own[:k + 1] in cell and list(cell) == sorted(cell), (n, k)
+            for prefix, b in cell.items():
+                assert len(prefix) == k + 1 and b >= cap[k], prefix
+                assert beta_values(prefix + (0,) * (n + 1 - len(prefix)), 6)[k] == b, prefix
+                if prefix != own[:k + 1]:
+                    found[prefix] = b - cap[k]
+        assert found == excess, n
 
 
 # one beta47-bound witness prefix (a_0, ..., a_7) per n, the cell k = 4 it
